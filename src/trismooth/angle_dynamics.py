@@ -3,10 +3,11 @@
 A triangle's similarity class is fixed by its three inner angles.  The
 transformation studied here replaces each angle by the mean of the other
 two, which drives every non-degenerate triangle toward the equilateral
-one.  Because the map is linear, its n-th power has a closed form; this
-module provides the map, its closed-form powers, the min/max-angle
-quality measure with non-recursive step predictions, and the machinery
-to verify the exact 1/4 contraction per double step.
+one.  The map scales each angle's deviation from pi/3 by -1/2 per step,
+so its n-th power has a closed form; this module provides the map, its
+closed-form powers, the min/max-angle quality measure with non-recursive
+step predictions, and the machinery to verify the exact 1/4 contraction
+per double step.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class AngleTriple:
     """Labeled inner angles of a triangle, in radians, summing to pi.
 
     Sums within ``SUM_REPAIR_TOL`` of pi are repaired by uniform scaling;
-    anything farther off is rejected.  Angles outside
-    ``(eps, pi - eps)`` do not fail construction -- they mark the triple
-    as degenerate, and operations that need non-degeneracy raise.
+    anything farther off is rejected.  Angles within ``DEGENERACY_EPS`` of
+    0 or pi do not fail construction -- they mark the triple as
+    degenerate, and operations that need non-degeneracy raise.
     """
 
     alpha: float
@@ -71,10 +72,10 @@ class AngleTriple:
         a, b, g = sorted((self.alpha, self.beta, self.gamma), reverse=True)
         return (a, b, g)
 
-    def is_degenerate(self, eps: float = DEGENERACY_EPS) -> bool:
+    def is_degenerate(self) -> bool:
         lo = min(self.alpha, self.beta, self.gamma)
         hi = max(self.alpha, self.beta, self.gamma)
-        return lo <= eps or hi >= PI - eps
+        return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
 
     def is_similar(self, other: "AngleTriple", tol: float = 1e-12) -> bool:
         """Same similarity class: sorted angles agree within ``tol``."""
@@ -131,25 +132,45 @@ def averaging_matrix() -> np.ndarray:
     return np.full((3, 3), 0.5) - 0.5 * np.eye(3)
 
 
-def transform(t: AngleTriple, eps: float = DEGENERACY_EPS) -> AngleTriple:
+def after_steps(x, fixed, n: int):
+    """``x`` after ``n`` steps of a map that multiplies ``x - fixed`` by -1/2.
+
+    Triangles use ``fixed`` = pi/3, fans optimal_mesh(N); floats or arrays.
+    The power of two scales exactly and underflows to 0, never overflows.
+    """
+    return fixed + (-0.5) ** n * (x - fixed)
+
+
+def angle_ratio(a: float, b: float, g: float) -> float:
+    """Smallest over largest of three angles."""
+    return min(a, b, g) / max(a, b, g)
+
+
+def transform(t: AngleTriple) -> AngleTriple:
     """Replace each angle by the mean of the other two.
 
     Preserves the angle sum and non-degeneracy; raises
     DegenerateTriangleError when the input is already degenerate.
     """
-    if t.is_degenerate(eps):
+    if t.is_degenerate():
         raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
     a, b, g = t.alpha, t.beta, t.gamma
     return AngleTriple(0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))
 
 
-def iterate(t: AngleTriple, n: int, eps: float = DEGENERACY_EPS) -> AngleTriple:
-    """Apply the transformation ``n`` times; n = 0 returns ``t`` unchanged."""
+def iterate(t: AngleTriple, n: int) -> AngleTriple:
+    """Apply the transformation ``n`` times; n = 0 returns ``t`` unchanged.
+
+    Evaluated in closed deviation form.  One degeneracy check suffices, as
+    a step maps angles in (eps, pi - eps) into (eps, pi / 2).
+    """
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(n):
-        t = transform(t, eps)
-    return t
+    if n == 0:
+        return t
+    if t.is_degenerate():
+        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
+    return AngleTriple(*[after_steps(x, THIRD_PI, n) for x in t.as_tuple()])
 
 
 @lru_cache(maxsize=None)
@@ -173,28 +194,23 @@ def deviations_after(t: AngleTriple, n: int) -> tuple[float, float, float]:
     """
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    sign = -1.0 if n % 2 else 1.0
-    return tuple(
-        sign * math.ldexp(x - THIRD_PI, -n) for x in t.as_tuple()
-    )
+    return tuple(after_steps(x - THIRD_PI, 0.0, n) for x in t.as_tuple())
 
 
-def iterate_closed_form(
-    t: AngleTriple, n: int, cap: int = CLOSED_FORM_CAP
-) -> AngleTriple:
+def iterate_closed_form(t: AngleTriple, n: int) -> AngleTriple:
     """Compute the n-th iterate directly, without looping over transform.
 
     Uses angle_n = ((2 a_{n-1} - a_n) * angle_0 + a_n * pi) / 2^n.  Above
-    ``cap`` the a_n / 2^n ratio is a quotient of exponentially growing
-    quantities, so evaluation switches to deviation form around pi/3.
+    ``CLOSED_FORM_CAP`` the a_n / 2^n ratio is a quotient of exponentially
+    growing quantities, so evaluation switches to deviation form around
+    pi/3.
     """
     if n < 1:
         raise ValueError("closed-form power requires n >= 1")
+    if n > CLOSED_FORM_CAP:
+        return iterate(t, n)
     if t.is_degenerate():
         raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
-    if n > cap:
-        da, db, dg = deviations_after(t, n)
-        return AngleTriple(THIRD_PI + da, THIRD_PI + db, THIRD_PI + dg)
     seq = coefficients(n)
     lead = 2 * seq.a(n - 1) - seq.a(n)
     tail = float(seq.a(n)) * PI
@@ -209,26 +225,24 @@ def iterate_closed_form(
 
 def quality(t: AngleTriple) -> QualityValue:
     """Min/max inner-angle ratio; scale-free, 1 iff equilateral."""
-    angles = t.as_tuple()
-    return QualityValue(min(angles) / max(angles))
+    return QualityValue(angle_ratio(t.alpha, t.beta, t.gamma))
 
 
 def predict_quality(
     t: AngleTriple, n: int, alt_even: bool = False
 ) -> QualityValue:
-    """Quality after ``n`` steps, from a non-recursive closed form.
+    """Quality after ``n`` steps, without iterating.
 
-    With sorted initial angles a0 >= b0 >= g0 the ordering of the angles
-    swaps every step and is restored every second step, so
+    The min/max ratio of the closed-form angles :func:`after_steps`; it
+    agrees with the paper's non-recursive q_{2k} / q_{2k+1} form within
+    1e-15 and, unlike it, cannot overflow at large ``n``.
 
-        q_{2k}   = (pi + b * g0) / (pi + b * a0),  b = 3 / (4^k - 1), k >= 1
-        q_{2k+1} = (pi - b * a0) / (pi - b * g0),  b = 6 / (4^(k+1) + 2)
-
-    ``alt_even`` selects an alternative even-step form,
-    (pi - b*a0) / (pi - b*g0), that mirrors the odd-step expression but
-    disagrees with direct iteration (e.g. it yields 3/5 instead of 7/9
-    at n = 2 for the 90-60-30 triangle); it is kept for comparison
-    output only.
+    ``alt_even`` selects an alternative even-step form for n = 2k, with
+    sorted angles a0 >= b0 >= g0 and b = 3 / (4^k - 1):
+    (pi - b*a0) / (pi - b*g0).  It mirrors the paper's odd-step expression
+    but disagrees with direct iteration (e.g. it yields 3/5 instead of 7/9
+    at n = 2 for the 90-60-30 triangle); it is kept for comparison output
+    only.
 
     Parameters
     ----------
@@ -243,16 +257,15 @@ def predict_quality(
         raise ValueError("step count must be >= 0")
     if n == 0:
         return quality(t)
-    a0, _, g0 = t.sorted_desc()
-    if n % 2:
-        k = (n - 1) // 2
-        b = 6.0 / (4.0 ** (k + 1) + 2.0)
+    if alt_even and n % 2 == 0:
+        a0, _, g0 = t.sorted_desc()
+        # 3 / (4^k - 1), written with 4^-k so that large k underflows to 0
+        quarter_k = 0.25 ** (n // 2)
+        b = 3.0 * quarter_k / (1.0 - quarter_k)
         return QualityValue((PI - b * a0) / (PI - b * g0))
-    k = n // 2
-    b = 3.0 / (4.0**k - 1.0)
-    if alt_even:
-        return QualityValue((PI - b * a0) / (PI - b * g0))
-    return QualityValue((PI + b * g0) / (PI + b * a0))
+    return QualityValue(
+        angle_ratio(*[after_steps(x, THIRD_PI, n) for x in t.as_tuple()])
+    )
 
 
 def convergence_rate_check(t: AngleTriple, k: int) -> float:
@@ -270,16 +283,13 @@ def convergence_rate_check(t: AngleTriple, k: int) -> float:
         raise EquilateralTriangleError(
             "contraction ratio is 0/0 for the equilateral triple"
         )
-    num = abs(math.ldexp(dev, -2 * k))
-    den = abs(math.ldexp(dev, -2 * (k - 1)))
+    num = abs(after_steps(dev, 0.0, 2 * k))
+    den = abs(after_steps(dev, 0.0, 2 * (k - 1)))
     if num < sys.float_info.min:
         raise ValueError(f"deviation underflows at k = {k}")
     return num / den
 
 
 def spectral_summary() -> SpectralSummary:
-    """Eigenvalues of the averaging matrix (ascending) and the limit triple."""
-    eig = np.linalg.eigvalsh(averaging_matrix())
-    return SpectralSummary(
-        (float(eig[0]), float(eig[1]), float(eig[2])), EQUILATERAL
-    )
+    """Exact eigenvalues of the averaging matrix (ascending); the limit triple."""
+    return SpectralSummary((-0.5, -0.5, 1.0), EQUILATERAL)

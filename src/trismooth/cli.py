@@ -19,7 +19,14 @@ from .angle_dynamics import (
     quality,
     transform,
 )
-from .mesh_io import ColorMap, MeshModel, analyze, load_mesh, render_svg
+from .mesh_io import (
+    ColorMap,
+    MeshFormatError,
+    MeshModel,
+    analyze,
+    load_mesh,
+    render_svg,
+)
 from .plane_geometry import (
     Point2,
     TrianglePoints,
@@ -41,7 +48,6 @@ from .simple_mesh import (
     save_mesh_angles,
     transform_mesh,
 )
-from .mesh_io import MeshFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,7 +61,7 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file (flags win over config)."""
+    """Fill unset options from a JSON config file; flags win, types must fit."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -63,59 +69,46 @@ def _merge_config(args: argparse.Namespace) -> None:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    actions = {a.dest: a for a in args.parser._actions}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest in ("config", "func"):
             raise ValueError(f"config key {key!r} is not allowed")
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise ValueError(f"unknown config key {key!r}")
+        wanted = bool if actions[dest].nargs == 0 else actions[dest].type
+        if wanted in (bool, int) and type(value) is not wanted:
+            raise ValueError(f"config key {key!r} must be a JSON {wanted.__name__}")
         current = getattr(args, dest)
         if current is None or current is False:
             setattr(args, dest, value)
 
 
-def _parse_angle_triple(value, degrees: bool) -> AngleTriple:
+def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
+    """Numbers for ``flag`` from a JSON list or a comma-separated string:
+    exactly ``count`` floats (described by ``what``), or without ``count``
+    a non-empty list of ints >= 0, skipping empty fields.
+    """
     if value is None:
-        raise ValueError("--angles is required")
+        raise ValueError(f"{flag} is required")
+    convert = int if count is None else float
     if isinstance(value, (list, tuple)):
-        parts = [float(v) for v in value]
+        items = [convert(v) for v in value]
     else:
-        parts = [float(tok) for tok in str(value).split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--angles needs exactly 3 values, got {len(parts)}")
-    if degrees:
-        parts = [math.radians(v) for v in parts]
-    return AngleTriple(parts[0], parts[1], parts[2])
-
-
-def _parse_int_list(value, flag: str, minimum: int = 0) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        items = [int(v) for v in value]
-    else:
-        items = [int(tok) for tok in str(value).split(",") if tok.strip()]
-    if not items:
+        items = [convert(tok) for tok in str(value).split(",") if count or tok.strip()]
+    if count is not None:
+        if len(items) != count:
+            raise ValueError(f"{flag} needs {what}, got {len(items)}")
+    elif not items:
         raise ValueError(f"{flag} needs at least one value")
-    if any(v < minimum for v in items):
-        raise ValueError(f"{flag} values must be >= {minimum}")
-    return tuple(items)
+    elif any(v < 0 for v in items):
+        raise ValueError(f"{flag} values must be >= 0")
+    return items
 
 
-def _parse_points(value) -> TrianglePoints:
-    if value is None:
-        raise ValueError("--points is required")
-    if isinstance(value, (list, tuple)):
-        parts = [float(v) for v in value]
-    else:
-        parts = [float(tok) for tok in str(value).split(",")]
-    if len(parts) != 6:
-        raise ValueError(
-            f"--points needs 6 values (x1,y1,x2,y2,x3,y3), got {len(parts)}"
-        )
-    return TrianglePoints(
-        Point2(parts[0], parts[1]),
-        Point2(parts[2], parts[3]),
-        Point2(parts[4], parts[5]),
-    )
+def _angle_triple(args: argparse.Namespace) -> AngleTriple:
+    parts = _parse_values(args.angles, "--angles", 3, "exactly 3 values")
+    return AngleTriple(*(math.radians(v) if args.degrees else v for v in parts))
 
 
 def _display(angle: float, degrees: bool) -> float:
@@ -133,7 +126,7 @@ def _print_rows(headers: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
-    t = _parse_angle_triple(args.angles, args.degrees)
+    t = _angle_triple(args)
     steps = 10 if args.steps is None else int(args.steps)
     if steps < 0:
         raise ValueError("--steps must be >= 0")
@@ -185,8 +178,8 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    t = _parse_angle_triple(args.angles, args.degrees)
-    steps = _parse_int_list(
+    t = _angle_triple(args)
+    steps = _parse_values(
         "1,2,4,8" if args.steps is None else args.steps, "--steps"
     )
     entries = []
@@ -212,7 +205,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    tri = _parse_points(args.points)
+    v = _parse_values(args.points, "--points", 6, "6 values (x1,y1,x2,y2,x3,y3)")
+    tri = TrianglePoints(Point2(v[0], v[1]), Point2(v[2], v[3]), Point2(v[4], v[5]))
     steps = 1 if args.steps is None else int(args.steps)
     if steps < 0:
         raise ValueError("--steps must be >= 0")
@@ -373,7 +367,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mesh = load_mesh(args.mesh, args.format)
     steps = ()
     if args.steps is not None:
-        steps = _parse_int_list(args.steps, "--steps")
+        steps = _parse_values(args.steps, "--steps")
     bins = 10 if args.bins is None else int(args.bins)
     report = analyze(mesh, steps, bins=bins)
     if args.report:
@@ -420,20 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, json_output: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, func, json_output: bool = True) -> None:
         p.add_argument(
             "--config",
             help="JSON file of flag defaults (explicit flags win)",
         )
         if json_output:
             p.add_argument("--json", action="store_true", help="machine output")
+        # the parser lets --config check each value against its flag
+        p.set_defaults(func=func, parser=p)
 
     p = sub.add_parser("iterate", help="print the angle trajectory of a triangle")
     p.add_argument("--angles", help="three comma-separated angles")
     p.add_argument("--degrees", action="store_true", help="angles are in degrees")
     p.add_argument("--steps", type=int, default=None, help="iterations (default 10)")
-    common(p)
-    p.set_defaults(func=cmd_iterate)
+    common(p, cmd_iterate)
 
     p = sub.add_parser("predict", help="closed-form quality after n steps")
     p.add_argument("--angles", help="three comma-separated angles")
@@ -448,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the alternative even-step form, which disagrees "
         "with direct iteration (comparison only)",
     )
-    common(p)
-    p.set_defaults(func=cmd_predict)
+    common(p, cmd_predict)
 
     p = sub.add_parser(
         "construct", help="coordinate-level construction trajectory"
@@ -464,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--svg", help="write the trajectory as an SVG file")
     p.add_argument("--colormap", help="quality colormap: q:rrggbb,q:rrggbb,...")
-    common(p)
-    p.set_defaults(func=cmd_construct)
+    common(p, cmd_construct)
 
     p = sub.add_parser("simple-mesh", help="regularize a single-ring fan mesh")
     p.add_argument("--input", help="fan-mesh angles JSON file")
@@ -480,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write final angles JSON here")
     p.add_argument("--svg", help="render the reconstructed final mesh")
     p.add_argument("--colormap", help="quality colormap: q:rrggbb,q:rrggbb,...")
-    common(p)
-    p.set_defaults(func=cmd_simple_mesh)
+    common(p, cmd_simple_mesh)
 
     p = sub.add_parser("analyze", help="per-triangle quality report for a mesh")
     p.add_argument("mesh", help="mesh file (OFF or OBJ)")
@@ -490,16 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=None, help="histogram bins (default 10)")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV report here")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    common(p, cmd_analyze)
 
     p = sub.add_parser("render", help="render a mesh as a quality-colored SVG")
     p.add_argument("mesh", help="mesh file (OFF or OBJ)")
     p.add_argument("--out", help="output SVG path")
     p.add_argument("--format", choices=("off", "obj"), default=None)
     p.add_argument("--colormap", help="quality colormap: q:rrggbb,q:rrggbb,...")
-    common(p, json_output=False)
-    p.set_defaults(func=cmd_render)
+    common(p, cmd_render, json_output=False)
 
     return parser
 

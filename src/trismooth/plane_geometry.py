@@ -14,13 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angle_dynamics import (
-    DEGENERACY_EPS,
-    AngleTriple,
-    DegenerateTriangleError,
-)
+from .angle_dynamics import AngleTriple, DegenerateTriangleError
 
-#: Twice-signed-area threshold, relative to the squared longest edge.
+#: Cross products below this, relative to the squared longest edge (or the
+#: product of the direction lengths), mark collinear points (parallel lines).
 COLLINEAR_REL_EPS = 1e-12
 
 
@@ -81,9 +78,9 @@ class TrianglePoints:
         A, B, C = self.vertices()
         return Point2((A.x + B.x + C.x) / 3.0, (A.y + B.y + C.y) / 3.0)
 
-    def is_collinear(self, rel_eps: float = COLLINEAR_REL_EPS) -> bool:
+    def is_collinear(self) -> bool:
         longest_sq = max(e * e for e in self.edge_lengths())
-        return abs(self.doubled_signed_area()) <= rel_eps * longest_sq
+        return abs(self.doubled_signed_area()) <= COLLINEAR_REL_EPS * longest_sq
 
 
 @dataclass(frozen=True)
@@ -167,15 +164,11 @@ def _bisector_perpendicular(
 
 
 def _intersect_lines(
-    p: Point2,
-    d: tuple[float, float],
-    q: Point2,
-    e: tuple[float, float],
-    parallel_eps: float = 1e-12,
+    p: Point2, d: tuple[float, float], q: Point2, e: tuple[float, float]
 ) -> Point2:
     denom = d[0] * e[1] - d[1] * e[0]
     scale = math.hypot(*d) * math.hypot(*e)
-    if abs(denom) <= parallel_eps * scale:
+    if abs(denom) <= COLLINEAR_REL_EPS * scale:
         raise DegenerateIntersectionError(
             "construction lines are parallel within tolerance"
         )
@@ -205,9 +198,9 @@ def construct_transformed_intersection(tri: TrianglePoints) -> TrianglePoints:
     )
 
 
-def growth_factor(t: AngleTriple, eps: float = DEGENERACY_EPS) -> GrowthFactor:
+def growth_factor(t: AngleTriple) -> GrowthFactor:
     """1 / (sin(alpha/2) sin(beta/2) sin(gamma/2)); 8 for equilateral."""
-    if t.is_degenerate(eps):
+    if t.is_degenerate():
         raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
     s = (
         math.sin(0.5 * t.alpha)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_dynamics import PI, AngleTriple, QualityValue
+from .angle_dynamics import PI, AngleTriple, QualityValue, after_steps, angle_ratio
 from .plane_geometry import Point2, TrianglePoints, angles_of
 
 #: Constraint families must hold within this absolute tolerance.
@@ -33,7 +33,7 @@ class MeshConstraintError(ValueError):
 
 
 class DegenerateMeshError(ArithmeticError):
-    """A transformation step produced a non-positive angle."""
+    """A transformation step produced, or would produce, a non-positive angle."""
 
 
 @dataclass(frozen=True)
@@ -209,24 +209,28 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
 
 
 def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
-    """Apply :func:`transform_mesh` ``steps`` times."""
+    """Apply :func:`transform_mesh` ``steps`` times, in closed form.
+
+    Each angle's deviation from :func:`optimal_mesh` is multiplied by -1/2
+    per step, so every later angle lies between the positive fixed point
+    and x_0 or x_1: checking step 1 for positivity covers the whole run.
+    """
     if steps < 0:
         raise ValueError("step count must be >= 0")
-    for _ in range(steps):
-        m = transform_mesh(m)
-    return m
+    if steps == 0:
+        return m
+    transform_mesh(m)  # raises DegenerateMeshError if step 1 degenerates
+    opt = optimal_mesh(m.n_triangles)
+    x = np.array([m.alpha, m.beta, m.gamma])
+    fixed = np.array([opt.alpha, opt.beta, opt.gamma])
+    return SimpleMeshAngles(*after_steps(x, fixed, steps).tolist())
 
 
 def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
     """Per-triangle min/max angle ratios and their min/max ratio in turn."""
-    qs = tuple(
-        QualityValue(
-            min(m.alpha[i], m.beta[i], m.gamma[i])
-            / max(m.alpha[i], m.beta[i], m.gamma[i])
-        )
-        for i in range(m.n_triangles)
-    )
-    return MeshQuality(qs, min(qs).q / max(qs).q)
+    ratios = [angle_ratio(*abg) for abg in zip(m.alpha, m.beta, m.gamma)]
+    qs = tuple(map(QualityValue, ratios))
+    return MeshQuality(qs, min(ratios) / max(ratios))
 
 
 def optimal_quality(n: int) -> float:
@@ -256,12 +260,12 @@ def random_mesh(
 ) -> SimpleMeshAngles:
     """Sample a random constraint-satisfying fan mesh.
 
-    Apex angles are a Dirichlet partition of 2 pi, beta angles a
-    Dirichlet partition of (N - 2) pi / 2, and gamma completes each
-    triangle.  Draws are rejected until all angles -- including those of
-    the following transformation step -- clear ``min_angle``; because
-    deviations halve and alternate in sign, that single look-ahead
-    bounds the whole trajectory away from zero.
+    Apex angles are a Dirichlet partition of 2 pi, beta angles a Dirichlet
+    partition of (N - 2) pi / 2, and gamma completes each triangle.  Draws
+    are rejected until all angles -- including those of the following
+    transformation step -- clear ``min_angle``; because deviations halve and
+    alternate in sign, that single look-ahead bounds the whole trajectory
+    away from zero.  DegenerateMeshError means ``max_tries`` draws failed.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -285,7 +289,7 @@ def random_mesh(
         if lo <= min_angle:
             continue
         return mesh
-    raise RuntimeError(
+    raise DegenerateMeshError(
         f"no valid random {n}-fan found in {max_tries} draws; "
         "raise concentration or lower min_angle"
     )

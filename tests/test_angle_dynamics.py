@@ -1,6 +1,7 @@
 """Tests for the averaging transformation, its closed forms, and quality."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from trismooth import (
     spectral_summary,
     transform,
 )
-from trismooth.angle_dynamics import averaging_matrix
+from trismooth.angle_dynamics import THIRD_PI, averaging_matrix
 
 from conftest import angle_triples, random_triples
 
@@ -36,6 +37,18 @@ def mean_pairs(a, b, g):
 
 def order_perm(angles):
     return tuple(sorted(range(3), key=lambda i: (angles[i], i)))
+
+
+def paper_quality(t, n):
+    # the paper's non-recursive prediction, for sorted a0 >= b0 >= g0:
+    # q_2k = (pi + b g0) / (pi + b a0) with b = 3 / (4^k - 1), and
+    # q_2k+1 = (pi - b a0) / (pi - b g0) with b = 6 / (4^(k+1) + 2)
+    a0, _, g0 = t.sorted_desc()
+    if n % 2:
+        b = 6.0 / (4.0 ** ((n - 1) // 2 + 1) + 2.0)
+        return (PI - b * a0) / (PI - b * g0)
+    b = 3.0 / (4.0 ** (n // 2) - 1.0)
+    return (PI + b * g0) / (PI + b * a0)
 
 
 # --- AngleTriple ------------------------------------------------------------
@@ -101,6 +114,25 @@ def test_iterate_identity_and_two_steps():
     )
     with pytest.raises(ValueError):
         iterate(t, -1)
+
+
+@given(t=angle_triples())
+@settings(deadline=None)
+def test_iterate_matches_transform_loop(t):
+    cur = t
+    for n in range(1, 31):
+        cur = transform(cur)
+        for x, y in zip(iterate(t, n).as_tuple(), cur.as_tuple()):
+            assert abs(x - y) <= 1e-12
+
+
+def test_iterate_million_steps_reaches_fixed_point_quickly():
+    t = AngleTriple(PI / 2, PI / 3, PI / 6)
+    start = time.perf_counter()
+    out = iterate(t, 10**6)
+    elapsed = time.perf_counter() - start
+    assert out.as_tuple() == pytest.approx((THIRD_PI,) * 3, abs=1e-15)
+    assert elapsed < 0.1
 
 
 def test_iterate_converges_to_equilateral():
@@ -205,8 +237,10 @@ def test_closed_form_equals_iteration(t):
 
 def test_deviation_branch_agrees_with_iteration():
     t = AngleTriple(PI / 2, PI / 3, PI / 6)
-    via_cap = iterate_closed_form(t, 12, cap=5)  # force the deviation path
-    direct = iterate(t, 12)
+    via_cap = iterate_closed_form(t, 600)  # above CLOSED_FORM_CAP
+    direct = t
+    for _ in range(600):
+        direct = transform(direct)
     for x, y in zip(via_cap.as_tuple(), direct.as_tuple()):
         assert abs(x - y) < 1e-12
 
@@ -256,6 +290,22 @@ def test_predict_quality_frozen_values():
     assert predict_quality(t, 0).q == quality(t).q
     with pytest.raises(ValueError):
         predict_quality(t, -1)
+
+
+def test_predict_quality_matches_paper_form_within_1e15():
+    # the deviation-form kernel against the paper's closed form, the
+    # reproduced result; the two differ only in rounding
+    for t in random_triples(500, seed=11):
+        for n in range(1, 31):
+            assert abs(predict_quality(t, n).q - paper_quality(t, n)) <= 1e-15
+
+
+def test_predict_quality_past_float_range_of_4_to_the_k():
+    # 4.0**k overflows at k = 512, i.e. n >= 1023
+    t = AngleTriple(PI / 2, PI / 3, PI / 6)
+    for n in (1022, 1023, 1100, 1101, 10**6):
+        assert predict_quality(t, n).q == 1.0
+        assert predict_quality(t, n, alt_even=True).q == 1.0
 
 
 def test_predict_quality_alt_even_disagrees_with_iteration():
@@ -313,6 +363,8 @@ def test_contraction_identity_via_iteration():
 def test_spectral_summary_eigenvalues():
     s = spectral_summary()
     assert s.eigenvalues == pytest.approx((-0.5, -0.5, 1.0), abs=1e-12)
+    numeric = np.linalg.eigvalsh(averaging_matrix())
+    assert tuple(numeric) == pytest.approx(s.eigenvalues, abs=1e-12)
     assert s.limit_triple.as_tuple() == pytest.approx(
         (PI / 3, PI / 3, PI / 3), abs=1e-15
     )

@@ -11,6 +11,7 @@ from trismooth.simple_mesh import mesh_to_dict, optimal_mesh
 PI = math.pi
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n"
+PREDICT_90_60_30 = ["predict", "--angles", "90,60,30", "--degrees"]
 
 
 def run(capsys, argv):
@@ -125,6 +126,40 @@ def test_predict_alt_even_column(capsys):
     entry = json.loads(out)["predictions"][0]
     assert entry["quality"] == pytest.approx(7 / 9, abs=1e-12)
     assert entry["alt_even_quality"] == pytest.approx(3 / 5, abs=1e-12)
+
+
+@pytest.mark.parametrize("extra", [[], ["--alt-even"]])
+def test_predict_step_count_past_overflow(capsys, extra):
+    code, out, err = run(capsys, PREDICT_90_60_30 + ["--steps", "1100,1101"] + extra)
+    assert code == 0, err
+    rows = out.strip().splitlines()[1:]
+    assert [r.split()[1:] for r in rows] == [["1.000000000000"] * (1 + len(extra))] * 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iterate", "--angles", "90,60"], "--angles needs exactly 3 values, got 2"),
+        (["iterate", "--angles", "90,,60,30"], "could not convert string to float"),
+        (PREDICT_90_60_30 + ["--steps", ","], "--steps needs at least one value"),
+        (PREDICT_90_60_30 + ["--steps", "1,-2"], "--steps values must be >= 0"),
+        (
+            ["construct", "--points", "0,0,1"],
+            "--points needs 6 values (x1,y1,x2,y2,x3,y3), got 3",
+        ),
+        (["construct"], "--points is required"),
+    ],
+)
+def test_list_flag_errors(capsys, argv, message):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert message in err
+
+
+def test_list_flag_skips_empty_step_fields(capsys):
+    code, out, _ = run(capsys, PREDICT_90_60_30 + ["--steps", "1,2,", "--json"])
+    assert code == 0
+    assert [e["step"] for e in json.loads(out)["predictions"]] == [1, 2]
 
 
 # --- construct ----------------------------------------------------------------
@@ -277,6 +312,14 @@ def test_simple_mesh_degenerate_step_is_numeric_error(capsys, tmp_path):
     assert "triangle 0" in err
 
 
+def test_simple_mesh_random_failure_is_numeric_error(capsys):
+    code, out, err = run(capsys, ["simple-mesh", "--n", "1000", "--random", "1"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: no valid random 1000-fan")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_simple_mesh_source_validation(capsys):
     code, _, _ = run(capsys, ["simple-mesh"])
     assert code == 2
@@ -371,6 +414,35 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     cfg.write_text(json.dumps({"angles": "90,60,30", "bogus": 1}))
     code, _, _ = run(capsys, ["iterate", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"degrees": "false"},
+        {"degrees": 0},
+        {"steps": "2"},
+        {"steps": 2.0},
+        {"steps": True},
+    ],
+)
+def test_config_value_must_fit_its_flag(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, angles="1.5,1.0,0.6415926535897931")))
+    code, out, err = run(capsys, ["iterate", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "config key" in err
+
+
+def test_config_false_switch_stays_off(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps({"angles": "1.5,1.0,0.6415926535897931", "degrees": False})
+    )
+    code, out, _ = run(capsys, ["iterate", "--config", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["unit"] == "radians"
 
 
 def test_usage_errors(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,36 @@ def test_transform_mesh_fails_loudly_on_degenerate_output():
     assert "alpha" in str(err.value)
 
 
+@pytest.mark.parametrize("n", [3, 5, 9, 40, 500])
+def test_iterate_mesh_matches_transform_loop(n):
+    # random fans have beta != gamma, so a label swap would show here
+    m = random_mesh(n, np.random.default_rng(n))
+    cur = m
+    for steps in range(0, 31):
+        fast = iterate_mesh(m, steps)
+        for name in ("alpha", "beta", "gamma"):
+            for x, y in zip(getattr(fast, name), getattr(cur, name)):
+                assert abs(x - y) <= 1e-12
+        cur = transform_mesh(cur)
+
+
+def test_iterate_mesh_million_steps_reaches_optimal_quickly():
+    m = random_mesh(500, 2)
+    start = time.perf_counter()
+    out = iterate_mesh(m, 10**6)
+    elapsed = time.perf_counter() - start
+    opt = optimal_mesh(500)
+    assert (out.alpha, out.beta, out.gamma) == (opt.alpha, opt.beta, opt.gamma)
+    assert elapsed < 0.5
+
+
+def test_iterate_mesh_raises_on_degenerate_first_step():
+    for steps in (1, 2, 30):
+        with pytest.raises(DegenerateMeshError) as err:
+            iterate_mesh(adversarial_mesh_n12(), steps)
+        assert "triangle 0" in str(err.value)
+
+
 def test_iterate_mesh_limits():
     rng = np.random.default_rng(21)
     m4 = iterate_mesh(random_mesh(4, rng), 60)
@@ -214,6 +245,11 @@ def test_random_mesh_is_deterministic_and_valid():
     assert min(min(a.alpha), min(a.beta), min(a.gamma)) > 1e-3
     # the generated mesh survives long iteration
     iterate_mesh(a, 60)
+
+
+def test_random_mesh_exhausted_draws_are_degenerate_mesh_error():
+    with pytest.raises(DegenerateMeshError, match="no valid random 1000-fan"):
+        random_mesh(1000, 1, max_tries=20)
 
 
 def test_random_mesh_rejects_small_n():
