@@ -31,6 +31,13 @@ SUM_REPAIR_TOL = 1e-9
 #: Above this power, closed-form evaluation switches to deviation form.
 CLOSED_FORM_CAP = 500
 
+#: Step counts past this act as this one or the next (same parity): (-1/2)^n
+#: is already 0 there, and a huge int must never be turned into a float.
+STEP_CLAMP = 1100
+
+#: Sorted angles closer than this make two triples similar.
+SIMILARITY_TOL = 1e-12
+
 
 class DegenerateTriangleError(ValueError):
     """The operation requires a non-degenerate triangle."""
@@ -77,10 +84,10 @@ class AngleTriple:
         hi = max(self.alpha, self.beta, self.gamma)
         return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
 
-    def is_similar(self, other: "AngleTriple", tol: float = 1e-12) -> bool:
-        """Same similarity class: sorted angles agree within ``tol``."""
+    def is_similar(self, other: "AngleTriple") -> bool:
+        """Same similarity class: sorted angles agree within ``SIMILARITY_TOL``."""
         return all(
-            abs(x - y) <= tol
+            abs(x - y) <= SIMILARITY_TOL
             for x, y in zip(self.sorted_desc(), other.sorted_desc())
         )
 
@@ -136,8 +143,11 @@ def after_steps(x, fixed, n: int):
     """``x`` after ``n`` steps of a map that multiplies ``x - fixed`` by -1/2.
 
     Triangles use ``fixed`` = pi/3, fans optimal_mesh(N); floats or arrays.
-    The power of two scales exactly and underflows to 0, never overflows.
+    The power of two scales exactly and underflows to 0, never overflows;
+    ``n`` past ``STEP_CLAMP`` is clamped, keeping its parity.
     """
+    if n > STEP_CLAMP:
+        n = STEP_CLAMP + n % 2
     return fixed + (-0.5) ** n * (x - fixed)
 
 
@@ -259,8 +269,8 @@ def predict_quality(
         return quality(t)
     if alt_even and n % 2 == 0:
         a0, _, g0 = t.sorted_desc()
-        # 3 / (4^k - 1), written with 4^-k so that large k underflows to 0
-        quarter_k = 0.25 ** (n // 2)
+        # 3 / (4^k - 1), written with 4^-k = (-1/2)^n so that large k gives 0
+        quarter_k = after_steps(1.0, 0.0, n)
         b = 3.0 * quarter_k / (1.0 - quarter_k)
         return QualityValue((PI - b * a0) / (PI - b * g0))
     return QualityValue(

@@ -2,7 +2,12 @@
 
 Subcommands: iterate, predict, construct, simple-mesh, analyze, render.
 Exit codes: 0 success, 2 invalid input, 3 I/O or file-format failure,
-4 numerical failure (a mesh transformation step degenerated).
+4 numerical failure (a mesh transformation step degenerated or a float
+overflowed).
+
+Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document and
+the text lines.  ``main`` prints one of them; nothing else here prints
+except ``_fail``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .plane_geometry import (
     rescale_to_area,
 )
 from .simple_mesh import (
-    DegenerateMeshError,
     SimpleMeshAngles,
     correction_terms,
     load_mesh_angles,
@@ -54,22 +58,26 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+Result = tuple[object, list[str]]
+
 
 def _fail(exc: BaseException, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file; flags win, types must fit."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
+def _apply_config(args: argparse.Namespace) -> None:
+    """Make a JSON config file's values the chosen subcommand's defaults.
+
+    Each value must fit its flag: a switch takes a JSON bool, an integer
+    option a JSON int.  The caller parses again, so explicit flags win.
+    """
+    with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     actions = {a.dest: a for a in args.parser._actions}
+    defaults = {}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest in ("config", "func"):
@@ -79,9 +87,9 @@ def _merge_config(args: argparse.Namespace) -> None:
         wanted = bool if actions[dest].nargs == 0 else actions[dest].type
         if wanted in (bool, int) and type(value) is not wanted:
             raise ValueError(f"config key {key!r} must be a JSON {wanted.__name__}")
-        current = getattr(args, dest)
-        if current is None or current is False:
-            setattr(args, dest, value)
+        if value is not None:  # null keeps the flag's own default
+            defaults[dest] = value
+    args.parser.set_defaults(**defaults)
 
 
 def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
@@ -106,36 +114,49 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
     return items
 
 
+def _steps(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
+    return args.steps
+
+
 def _angle_triple(args: argparse.Namespace) -> AngleTriple:
     parts = _parse_values(args.angles, "--angles", 3, "exactly 3 values")
     return AngleTriple(*(math.radians(v) if args.degrees else v for v in parts))
+
+
+def _unit(args: argparse.Namespace) -> str:
+    return "degrees" if args.degrees else "radians"
 
 
 def _display(angle: float, degrees: bool) -> float:
     return math.degrees(angle) if degrees else angle
 
 
-def _print_rows(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
+def _table(entries: list[dict], columns: list[tuple[str, str, str]]) -> list[str]:
+    """Right-aligned rows of ``(header, key, format)`` columns; None shows "-"."""
+    rows = [[header for header, _, _ in columns]]
+    rows += [
+        ["-" if e[key] is None else fmt.format(e[key]) for _, key, fmt in columns]
+        for e in entries
     ]
-    print("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    for r in rows:
-        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(columns))]
+    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
 
 
-def cmd_iterate(args: argparse.Namespace) -> int:
+def _write_svg(args: argparse.Namespace, path: str, mesh: MeshModel) -> str:
+    """Render ``mesh`` with ``--colormap`` to ``path``; return the report line."""
+    render_svg(mesh, path, ColorMap.parse(args.colormap) if args.colormap else None)
+    return f"wrote {path}"
+
+
+def cmd_iterate(args: argparse.Namespace) -> Result:
     t = _angle_triple(args)
-    steps = 10 if args.steps is None else int(args.steps)
-    if steps < 0:
-        raise ValueError("--steps must be >= 0")
     trajectory = [t]
-    for _ in range(steps):
+    for _ in range(_steps(args)):
         trajectory.append(transform(trajectory[-1]))
     track = max(range(3), key=lambda i: t.as_tuple()[i])
     devs = [tr.as_tuple()[track] - THIRD_PI for tr in trajectory]
-    unit = "degrees" if args.degrees else "radians"
     entries = []
     for n, tr in enumerate(trajectory):
         ratio2 = None
@@ -153,71 +174,46 @@ def cmd_iterate(args: argparse.Namespace) -> int:
                 "deviation_ratio2": ratio2,
             }
         )
-    if args.json:
-        print(json.dumps({"unit": unit, "steps": entries}, indent=2))
-        return EXIT_OK
     fmt_a = "{:.4f}" if args.degrees else "{:.6f}"
-    rows = [
+    table = _table(
+        entries,
         [
-            str(e["step"]),
-            fmt_a.format(e["alpha"]),
-            fmt_a.format(e["beta"]),
-            fmt_a.format(e["gamma"]),
-            f"{e['quality']:.6f}",
-            f"{e['growth_factor']:.4f}",
-            "-" if e["deviation_ratio2"] is None else f"{e['deviation_ratio2']:.6f}",
-        ]
-        for e in entries
-    ]
-    print(f"angles in {unit}")
-    _print_rows(
-        ["step", "alpha", "beta", "gamma", "quality", "growth", "dev_ratio2"],
-        rows,
+            ("step", "step", "{}"),
+            ("alpha", "alpha", fmt_a),
+            ("beta", "beta", fmt_a),
+            ("gamma", "gamma", fmt_a),
+            ("quality", "quality", "{:.6f}"),
+            ("growth", "growth_factor", "{:.4f}"),
+            ("dev_ratio2", "deviation_ratio2", "{:.6f}"),
+        ],
     )
-    return EXIT_OK
+    return {"unit": _unit(args), "steps": entries}, [f"angles in {_unit(args)}"] + table
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> Result:
     t = _angle_triple(args)
-    steps = _parse_values(
-        "1,2,4,8" if args.steps is None else args.steps, "--steps"
-    )
+    columns = [("step", "step", "{}"), ("quality", "quality", "{:.12f}")]
+    if args.alt_even:
+        columns.append(("alt_even", "alt_even_quality", "{:.12f}"))
     entries = []
-    for n in steps:
+    for n in _parse_values(args.steps, "--steps"):
         entry = {"step": n, "quality": predict_quality(t, n).q}
         if args.alt_even:
             entry["alt_even_quality"] = predict_quality(t, n, alt_even=True).q
         entries.append(entry)
-    if args.json:
-        print(json.dumps({"predictions": entries}, indent=2))
-        return EXIT_OK
-    headers = ["step", "quality"]
-    if args.alt_even:
-        headers.append("alt_even")
-    rows = []
-    for e in entries:
-        row = [str(e["step"]), f"{e['quality']:.12f}"]
-        if args.alt_even:
-            row.append(f"{e['alt_even_quality']:.12f}")
-        rows.append(row)
-    _print_rows(headers, rows)
-    return EXIT_OK
+    return {"predictions": entries}, _table(entries, columns)
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> Result:
     v = _parse_values(args.points, "--points", 6, "6 values (x1,y1,x2,y2,x3,y3)")
     tri = TrianglePoints(Point2(v[0], v[1]), Point2(v[2], v[3]), Point2(v[4], v[5]))
-    steps = 1 if args.steps is None else int(args.steps)
-    if steps < 0:
-        raise ValueError("--steps must be >= 0")
     area0 = tri.area()
     trajectory = [tri]
-    for _ in range(steps):
+    for _ in range(_steps(args)):
         new = construct_transformed(trajectory[-1])
         if args.rescale:
             new = rescale_to_area(new, area0)
         trajectory.append(new)
-    unit = "degrees" if args.degrees else "radians"
     entries = []
     for n, cur in enumerate(trajectory):
         ang = angles_of(cur)
@@ -225,44 +221,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
             {
                 "step": n,
                 "vertices": [[p.x, p.y] for p in cur.vertices()],
-                "angles": [
-                    _display(ang.alpha, args.degrees),
-                    _display(ang.beta, args.degrees),
-                    _display(ang.gamma, args.degrees),
-                ],
+                "angles": [_display(a, args.degrees) for a in ang.as_tuple()],
                 "area": cur.area(),
                 "quality": quality(ang).q,
             }
         )
+    lines = [f"angles in {_unit(args)}"] + _table(
+        entries,
+        [
+            ("step", "step", "{}"),
+            ("alpha", "angles", "{[0]:.6f}"),
+            ("beta", "angles", "{[1]:.6f}"),
+            ("gamma", "angles", "{[2]:.6f}"),
+            ("area", "area", "{:.6g}"),
+            ("quality", "quality", "{:.6f}"),
+        ],
+    )
     if args.svg:
         vertices = [p for cur in trajectory for p in cur.vertices()]
         triangles = [(3 * n, 3 * n + 1, 3 * n + 2) for n in range(len(trajectory))]
-        cmap = ColorMap.parse(args.colormap) if args.colormap else None
-        render_svg(MeshModel(tuple(vertices), tuple(triangles)), args.svg, cmap)
-    if args.json:
-        print(
-            json.dumps(
-                {"unit": unit, "rescale": bool(args.rescale), "steps": entries},
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    print(f"angles in {unit}")
-    rows = [
-        [
-            str(e["step"]),
-            f"{e['angles'][0]:.6f}",
-            f"{e['angles'][1]:.6f}",
-            f"{e['angles'][2]:.6f}",
-            f"{e['area']:.6g}",
-            f"{e['quality']:.6f}",
-        ]
-        for e in entries
-    ]
-    _print_rows(["step", "alpha", "beta", "gamma", "area", "quality"], rows)
-    if args.svg:
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+        lines.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
+    return {"unit": _unit(args), "rescale": args.rescale, "steps": entries}, lines
 
 
 def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
@@ -272,60 +251,71 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
         return load_mesh_angles(args.input)
     if args.n is None:
         raise ValueError("either --input or --n is required")
-    n = int(args.n)
     if args.optimal and args.random is not None:
         raise ValueError("choose one of --optimal or --random")
     if args.optimal:
-        return optimal_mesh(n)
+        return optimal_mesh(args.n)
     if args.random is not None:
-        return random_mesh(n, int(args.random))
+        return random_mesh(args.n, args.random)
     raise ValueError("--n needs --optimal or --random SEED")
 
 
-def cmd_simple_mesh(args: argparse.Namespace) -> int:
+def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     mesh = _simple_mesh_source(args)
-    steps = 0 if args.steps is None else int(args.steps)
-    if steps < 0:
-        raise ValueError("--steps must be >= 0")
     n = mesh.n_triangles
     k = correction_terms(n)
     states = [mesh]
-    for _ in range(steps):
+    for _ in range(_steps(args)):
         states.append(transform_mesh(states[-1]))
     entries = []
     for step, m in enumerate(states):
         mq = mesh_quality(m)
-        res = m.constraint_residuals()
         entries.append(
             {
                 "step": step,
                 "mesh_q": mq.mesh_q,
                 "q_min": min(v.q for v in mq.per_triangle),
                 "q_max": max(v.q for v in mq.per_triangle),
-                "max_residual": res.max(),
+                "max_residual": m.constraint_residuals().max(),
             }
         )
     final = states[-1]
+    # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
+    lines = [
+        f"fan mesh with {n} triangles",
+        f"correction terms: k_alpha={k.k_alpha:.12g} "
+        f"k_beta={k.k_beta:.12g} k_gamma={k.k_gamma:.12g}",
+        *_table(
+            entries,
+            [
+                ("step", "step", "{}"),
+                ("mesh_q", "mesh_q", "{:.9f}"),
+                ("q_min", "q_min", "{:.9f}"),
+                ("q_max", "q_max", "{:.9f}"),
+                ("residual", "max_residual", "{:.3e}"),
+            ],
+        ),
+        f"reconstruction residuals: radius={residual.radius:.3e} "
+        f"turn={residual.turn:.3e}",
+    ]
+    svg_line = None
     if args.svg:
+        # draw the final fan with the starting fan's area
         start_geom, _ = reconstruct_geometry(mesh, 1.0)
         radius = math.sqrt(start_geom.total_area() / geometry.total_area())
-        geometry, residual = reconstruct_geometry(final, radius)
+        geometry, _ = reconstruct_geometry(final, radius)
         vertices = (geometry.inner_vertex,) + geometry.boundary
-        triangles = tuple(
-            (0, 1 + i, 1 + (i + 1) % n) for i in range(n)
-        )
-        cmap = ColorMap.parse(args.colormap) if args.colormap else None
-        render_svg(MeshModel(vertices, triangles), args.svg, cmap)
+        triangles = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
+        svg_line = _write_svg(args, args.svg, MeshModel(vertices, triangles))
     if args.output:
         save_mesh_angles(final, args.output)
-    payload = {
+        lines.append(f"wrote {args.output}")
+    if svg_line:
+        lines.append(svg_line)
+    doc = {
         "n": n,
-        "correction_terms": {
-            "k_alpha": k.k_alpha,
-            "k_beta": k.k_beta,
-            "k_gamma": k.k_gamma,
-        },
+        "correction_terms": vars(k),
         "steps": entries,
         "final": mesh_to_dict(final),
         "reconstruction": {
@@ -333,77 +323,38 @@ def cmd_simple_mesh(args: argparse.Namespace) -> int:
             "turn_residual": residual.turn,
         },
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"fan mesh with {n} triangles")
-    print(
-        f"correction terms: k_alpha={k.k_alpha:.12g} "
-        f"k_beta={k.k_beta:.12g} k_gamma={k.k_gamma:.12g}"
-    )
-    rows = [
-        [
-            str(e["step"]),
-            f"{e['mesh_q']:.9f}",
-            f"{e['q_min']:.9f}",
-            f"{e['q_max']:.9f}",
-            f"{e['max_residual']:.3e}",
-        ]
-        for e in entries
-    ]
-    _print_rows(["step", "mesh_q", "q_min", "q_max", "residual"], rows)
-    print(
-        f"reconstruction residuals: radius={residual.radius:.3e} "
-        f"turn={residual.turn:.3e}"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    if args.svg:
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+    return doc, lines
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> Result:
     mesh = load_mesh(args.mesh, args.format)
-    steps = ()
-    if args.steps is not None:
-        steps = _parse_values(args.steps, "--steps")
-    bins = 10 if args.bins is None else int(args.bins)
-    report = analyze(mesh, steps, bins=bins)
-    if args.report:
-        report.write_json(args.report)
-    if args.csv:
-        report.write_csv(args.csv)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-        return EXIT_OK
+    steps = _parse_values(args.steps, "--steps") if args.steps is not None else ()
+    report = analyze(mesh, steps, bins=args.bins)
+    written = []  # reports first, so their peak memory and the lines' never add up
+    for path, write in ((args.report, report.write_json), (args.csv, report.write_csv)):
+        if path:
+            write(path)
+            written.append(f"wrote {path}")
     s = report.summary
-    print(
+    lines = [
         f"{s.count} triangles: q min {s.q_min:.6f}, "
         f"max {s.q_max:.6f}, mean {s.q_mean:.6f}"
-    )
+    ]
     if report.dropped:
-        print(f"excluded {len(report.dropped)} degenerate face(s)")
+        lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
     for rec in report.triangles:
         preds = " ".join(
             f"q{s_}={v:.6f}" for s_, v in zip(report.predict_steps, rec.predicted)
         )
-        print(f"  triangle {rec.index}: q={rec.q:.6f} {preds}".rstrip())
-    if args.report:
-        print(f"wrote {args.report}")
-    if args.csv:
-        print(f"wrote {args.csv}")
-    return EXIT_OK
+        lines.append(f"  triangle {rec.index}: q={rec.q:.6f} {preds}".rstrip())
+    # the document is built only when printed: it is large for big meshes
+    return report.to_dict() if args.json else None, lines + written
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> Result:
     if args.out is None:
         raise ValueError("--out is required")
-    mesh = load_mesh(args.mesh, args.format)
-    cmap = ColorMap.parse(args.colormap) if args.colormap else None
-    render_svg(mesh, args.out, cmap)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return None, [_write_svg(args, args.out, load_mesh(args.mesh, args.format))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,20 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if json_output:
             p.add_argument("--json", action="store_true", help="machine output")
-        # the parser lets --config check each value against its flag
-        p.set_defaults(func=func, parser=p)
+        # --config makes its values this parser's defaults; render has no --json
+        p.set_defaults(func=func, parser=p, json=False)
 
     p = sub.add_parser("iterate", help="print the angle trajectory of a triangle")
     p.add_argument("--angles", help="three comma-separated angles")
     p.add_argument("--degrees", action="store_true", help="angles are in degrees")
-    p.add_argument("--steps", type=int, default=None, help="iterations (default 10)")
+    p.add_argument("--steps", type=int, default=10, help="iterations (default 10)")
     common(p, cmd_iterate)
 
     p = sub.add_parser("predict", help="closed-form quality after n steps")
     p.add_argument("--angles", help="three comma-separated angles")
     p.add_argument("--degrees", action="store_true", help="angles are in degrees")
     p.add_argument(
-        "--steps", default=None, help="comma-separated step list (default 1,2,4,8)"
+        "--steps", default="1,2,4,8", help="comma-separated step list (default 1,2,4,8)"
     )
     p.add_argument(
         "--alt-even",
@@ -449,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", help="coordinate-level construction trajectory"
     )
     p.add_argument("--points", help="x1,y1,x2,y2,x3,y3")
-    p.add_argument("--steps", type=int, default=None, help="steps (default 1)")
+    p.add_argument("--steps", type=int, default=1, help="steps (default 1)")
     p.add_argument("--degrees", action="store_true", help="print angles in degrees")
     p.add_argument(
         "--rescale",
@@ -462,14 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simple-mesh", help="regularize a single-ring fan mesh")
     p.add_argument("--input", help="fan-mesh angles JSON file")
-    p.add_argument("--n", type=int, default=None, help="triangle count")
+    p.add_argument("--n", type=int, help="triangle count")
     p.add_argument(
         "--optimal", action="store_true", help="start from the optimal fan"
     )
-    p.add_argument(
-        "--random", type=int, default=None, metavar="SEED", help="random valid fan"
-    )
-    p.add_argument("--steps", type=int, default=None, help="iterations (default 0)")
+    p.add_argument("--random", type=int, metavar="SEED", help="random valid fan")
+    p.add_argument("--steps", type=int, default=0, help="iterations (default 0)")
     p.add_argument("--output", help="write final angles JSON here")
     p.add_argument("--svg", help="render the reconstructed final mesh")
     p.add_argument("--colormap", help="quality colormap: q:rrggbb,q:rrggbb,...")
@@ -477,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="per-triangle quality report for a mesh")
     p.add_argument("mesh", help="mesh file (OFF or OBJ)")
-    p.add_argument("--format", choices=("off", "obj"), default=None)
-    p.add_argument("--steps", default=None, help="prediction steps, e.g. 1,2")
-    p.add_argument("--bins", type=int, default=None, help="histogram bins (default 10)")
+    p.add_argument("--format", choices=("off", "obj"))
+    p.add_argument("--steps", help="prediction steps, e.g. 1,2")
+    p.add_argument("--bins", type=int, default=10, help="histogram bins (default 10)")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV report here")
     common(p, cmd_analyze)
@@ -487,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a mesh as a quality-colored SVG")
     p.add_argument("mesh", help="mesh file (OFF or OBJ)")
     p.add_argument("--out", help="output SVG path")
-    p.add_argument("--format", choices=("off", "obj"), default=None)
+    p.add_argument("--format", choices=("off", "obj"))
     p.add_argument("--colormap", help="quality colormap: q:rrggbb,q:rrggbb,...")
     common(p, cmd_render, json_output=False)
 
@@ -501,20 +450,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _merge_config(args)
-        return args.func(args)
-    except MeshFormatError as exc:
+        if args.config:
+            _apply_config(args)
+            args = parser.parse_args(argv)
+        document, lines = args.func(args)
+    except (MeshFormatError, json.JSONDecodeError, OSError) as exc:
         return _fail(exc, EXIT_IO)
-    except json.JSONDecodeError as exc:
-        return _fail(exc, EXIT_IO)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    except DegenerateMeshError as exc:
-        return _fail(exc, EXIT_NUMERIC)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)
     except ArithmeticError as exc:
         return _fail(exc, EXIT_NUMERIC)
+    output = [json.dumps(document, indent=2)] if args.json else lines
+    print(*output, sep="\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

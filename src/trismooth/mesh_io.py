@@ -502,10 +502,6 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     vb_y = min_y - margin
     vb_w = (max_x - min_x) + 2 * margin
     vb_h = (max_y - min_y) + 2 * margin
-    if vb_w <= 0.0:
-        vb_w = 2 * margin or 1.0
-    if vb_h <= 0.0:
-        vb_h = 2 * margin or 1.0
     height = _SVG_WIDTH * vb_h / vb_w
     stroke_width = 0.002 * span
 

@@ -79,7 +79,13 @@ class TrianglePoints:
         return Point2((A.x + B.x + C.x) / 3.0, (A.y + B.y + C.y) / 3.0)
 
     def is_collinear(self) -> bool:
+        """Area small against the squared longest edge; OverflowError when
+        that square overflows, since the test then decides nothing."""
         longest_sq = max(e * e for e in self.edge_lengths())
+        if longest_sq == math.inf:
+            raise OverflowError(
+                f"squared edge length overflows for vertices {self.vertices()}"
+            )
         return abs(self.doubled_signed_area()) <= COLLINEAR_REL_EPS * longest_sq
 
 

@@ -27,6 +27,11 @@ CONSTRAINT_TOL = 1e-10
 #: Reconstruction normalizes the total turn when it is at least this close.
 TURN_NORMALIZE_TOL = 1e-9
 
+#: random_mesh: Dirichlet concentration, angle floor, and draws before failing.
+RANDOM_CONCENTRATION = 8.0
+RANDOM_MIN_ANGLE = 1e-3
+RANDOM_MAX_TRIES = 1000
+
 
 class MeshConstraintError(ValueError):
     """Angle data violates the fan-mesh constraint equations."""
@@ -251,34 +256,29 @@ def optimal_mesh(n: int) -> SimpleMeshAngles:
     return SimpleMeshAngles((apex,) * n, (base,) * n, (base,) * n)
 
 
-def random_mesh(
-    n: int,
-    rng: np.random.Generator | int,
-    concentration: float = 8.0,
-    min_angle: float = 1e-3,
-    max_tries: int = 1000,
-) -> SimpleMeshAngles:
+def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     """Sample a random constraint-satisfying fan mesh.
 
     Apex angles are a Dirichlet partition of 2 pi, beta angles a Dirichlet
     partition of (N - 2) pi / 2, and gamma completes each triangle.  Draws
     are rejected until all angles -- including those of the following
-    transformation step -- clear ``min_angle``; because deviations halve and
-    alternate in sign, that single look-ahead bounds the whole trajectory
-    away from zero.  DegenerateMeshError means ``max_tries`` draws failed.
+    transformation step -- clear ``RANDOM_MIN_ANGLE``; because deviations
+    halve and alternate in sign, that single look-ahead bounds the whole
+    trajectory away from zero.  DegenerateMeshError means all
+    ``RANDOM_MAX_TRIES`` draws failed.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     if n < 3:
         raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
-    conc = np.full(n, concentration)
-    for _ in range(max_tries):
+    conc = np.full(n, RANDOM_CONCENTRATION)
+    for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)
         alpha *= 2.0 * PI / alpha.sum()
         beta = rng.dirichlet(conc) * ((n - 2) * PI / 2.0)
         beta *= (n - 2) * PI / 2.0 / beta.sum()
         gamma = PI - alpha - beta
-        if min(alpha.min(), beta.min(), gamma.min()) <= min_angle:
+        if min(alpha.min(), beta.min(), gamma.min()) <= RANDOM_MIN_ANGLE:
             continue
         mesh = SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
         try:
@@ -286,12 +286,11 @@ def random_mesh(
         except DegenerateMeshError:
             continue
         lo = min(min(nxt.alpha), min(nxt.beta), min(nxt.gamma))
-        if lo <= min_angle:
+        if lo <= RANDOM_MIN_ANGLE:
             continue
         return mesh
     raise DegenerateMeshError(
-        f"no valid random {n}-fan found in {max_tries} draws; "
-        "raise concentration or lower min_angle"
+        f"no valid random {n}-fan found in {RANDOM_MAX_TRIES} draws"
     )
 
 

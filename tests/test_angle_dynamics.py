@@ -247,8 +247,10 @@ def test_deviation_branch_agrees_with_iteration():
 
 def test_closed_form_huge_n_hits_fixed_point():
     t = AngleTriple(PI / 2, PI / 3, PI / 6)
-    out = iterate_closed_form(t, 2000)
-    assert out.as_tuple() == pytest.approx(EQUILATERAL.as_tuple(), abs=1e-15)
+    # 10**400 cannot be turned into a float; the step count is clamped
+    for n in (2000, 10**400, 10**400 + 1):
+        out = iterate_closed_form(t, n)
+        assert out.as_tuple() == pytest.approx(EQUILATERAL.as_tuple(), abs=1e-15)
 
 
 def test_deviations_are_exact_halvings():
@@ -303,7 +305,7 @@ def test_predict_quality_matches_paper_form_within_1e15():
 def test_predict_quality_past_float_range_of_4_to_the_k():
     # 4.0**k overflows at k = 512, i.e. n >= 1023
     t = AngleTriple(PI / 2, PI / 3, PI / 6)
-    for n in (1022, 1023, 1100, 1101, 10**6):
+    for n in (1022, 1023, 1100, 1101, 10**6, 10**400, 10**400 + 1):
         assert predict_quality(t, n).q == 1.0
         assert predict_quality(t, n, alt_even=True).q == 1.0
 

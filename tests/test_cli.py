@@ -130,10 +130,11 @@ def test_predict_alt_even_column(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--alt-even"]])
 def test_predict_step_count_past_overflow(capsys, extra):
-    code, out, err = run(capsys, PREDICT_90_60_30 + ["--steps", "1100,1101"] + extra)
+    steps = "1100,1101,1" + "0" * 400
+    code, out, err = run(capsys, PREDICT_90_60_30 + ["--steps", steps] + extra)
     assert code == 0, err
     rows = out.strip().splitlines()[1:]
-    assert [r.split()[1:] for r in rows] == [["1.000000000000"] * (1 + len(extra))] * 2
+    assert [r.split()[1:] for r in rows] == [["1.000000000000"] * (1 + len(extra))] * 3
 
 
 @pytest.mark.parametrize(
@@ -218,6 +219,19 @@ def test_construct_rejects_collinear(capsys):
     assert code == 2
 
 
+def test_construct_overflow_is_numeric_error(capsys):
+    # unrescaled edges double each step; at 512 steps their squares overflow
+    argv = ["construct", "--points", "0,0,1,0,0,1", "--steps"]
+    code, out, err = run(capsys, argv + ["511"])
+    assert code == 0, err
+    assert "inf" not in out
+    code, out, err = run(capsys, argv + ["512"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: squared edge length overflows")
+    assert len(err.splitlines()) == 1
+
+
 # --- simple-mesh ----------------------------------------------------------------
 
 def test_simple_mesh_random_reaches_optimal(capsys):
@@ -273,6 +287,16 @@ def test_simple_mesh_svg(capsys, tmp_path):
     )
     assert code == 0
     assert svg.exists()
+
+
+def test_simple_mesh_json_does_not_depend_on_svg(capsys, tmp_path):
+    # the reconstruction residuals are the radius-1 ones, drawn or not
+    argv = ["simple-mesh", "--n", "8", "--random", "3", "--steps", "10", "--json"]
+    _, plain, _ = run(capsys, argv)
+    code, drawn, _ = run(capsys, argv + ["--svg", str(tmp_path / "fan.svg")])
+    assert code == 0
+    assert json.loads(drawn)["reconstruction"] == json.loads(plain)["reconstruction"]
+    assert drawn == plain
 
 
 def test_simple_mesh_bad_json_is_io_error(capsys, tmp_path):

@@ -68,6 +68,16 @@ def test_angles_of_rejects_collinear():
         angles_of(tri_of((0, 0), (1, 1), (2, 2)))
 
 
+def test_collinearity_test_overflow_is_not_collinear():
+    # the longest edge squared is inf: the test decides nothing, so it raises
+    big = 1e154
+    tri = tri_of((-big, -big), (big, 0.0), (0.0, big))
+    with pytest.raises(OverflowError, match="overflows"):
+        tri.is_collinear()
+    with pytest.raises(OverflowError):
+        angles_of(tri)
+
+
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point2(math.inf, 0.0)

@@ -249,7 +249,7 @@ def test_random_mesh_is_deterministic_and_valid():
 
 def test_random_mesh_exhausted_draws_are_degenerate_mesh_error():
     with pytest.raises(DegenerateMeshError, match="no valid random 1000-fan"):
-        random_mesh(1000, 1, max_tries=20)
+        random_mesh(1000, 1)
 
 
 def test_random_mesh_rejects_small_n():
