@@ -18,6 +18,7 @@ import math
 import sys
 
 from .angle_dynamics import (
+    STEP_CLAMP,
     THIRD_PI,
     AngleTriple,
     predict_quality,
@@ -152,8 +153,10 @@ def _write_svg(args: argparse.Namespace, path: str, mesh: MeshModel) -> str:
 
 def cmd_iterate(args: argparse.Namespace) -> Result:
     t = _angle_triple(args)
+    if _steps(args) > STEP_CLAMP:  # one row per step, and pi/3 is reached long before
+        raise ValueError(f"--steps must be <= {STEP_CLAMP}")
     trajectory = [t]
-    for _ in range(_steps(args)):
+    for _ in range(args.steps):
         trajectory.append(transform(trajectory[-1]))
     track = max(range(3), key=lambda i: t.as_tuple()[i])
     devs = [tr.as_tuple()[track] - THIRD_PI for tr in trajectory]

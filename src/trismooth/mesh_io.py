@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .angle_dynamics import AngleTriple, predict_quality, quality
-from .plane_geometry import Point2, TrianglePoints, angles_of
+from .angle_dynamics import PI, THIRD_PI, AngleTriple, after_steps, angle_ratio
+from .plane_geometry import Point2, TrianglePoints, measure_faces
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -43,31 +44,59 @@ class DegenerateFace:
     indices: tuple[int, int, int]
 
 
+def _faces(
+    xy: np.ndarray, triangles: tuple[tuple[int, int, int], ...]
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Faces as an (F, 3) array, and the first face with a vertex index
+    outside ``xy`` with that index (None when every index is inside)."""
+    nv = len(xy)
+    # no dtype: an index past int64 makes an object array, compared exactly
+    faces = np.array(triangles).reshape(len(triangles), 3)
+    outside = (faces < 0) | (faces >= nv)
+    if not outside.any():
+        return faces.astype(np.int64), None
+    t = int(outside.any(axis=1).argmax())
+    return faces, (t, triangles[t][int(outside[t].argmax())])
+
+
 @dataclass(frozen=True)
 class MeshModel:
-    """Indexed triangle mesh; degenerate faces are kept out but on record."""
+    """Indexed triangle mesh; degenerate faces are kept out but on record.
+
+    Building one checks every face once, in array passes, and keeps what
+    the collinearity test measured: ``angles``, the (F, 3) inner angles
+    (alpha, beta, gamma per triangle, before AngleTriple's sum repair)
+    that ``analyze`` and ``render_svg`` read.
+    """
 
     vertices: tuple[Point2, ...]
     triangles: tuple[tuple[int, int, int], ...]
     dropped: tuple[DegenerateFace, ...] = ()
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self, "triangles", tuple(tuple(t) for t in self.triangles)
-        )
-        object.__setattr__(self, "dropped", tuple(self.dropped))
-        nv = len(self.vertices)
-        if nv < 3:
-            raise ValueError(f"mesh needs at least 3 vertices, got {nv}")
-        for t, (i, j, k) in enumerate(self.triangles):
-            for idx in (i, j, k):
-                if not 0 <= idx < nv:
-                    raise ValueError(
-                        f"triangle {t}: vertex index {idx} out of range"
-                    )
-            if self.triangle_points(t).is_collinear():
-                raise ValueError(f"triangle {t} is degenerate (collinear)")
+        vertices = tuple(self.vertices)
+        triangles = tuple(tuple(t) for t in self.triangles)
+        xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
+        faces, outside = _faces(xy, triangles)
+        if outside is not None:
+            t, index = outside
+            raise ValueError(f"triangle {t}: vertex index {index} out of range")
+        flat, angles = measure_faces(xy, faces)
+        if flat.any():
+            raise ValueError(f"triangle {int(flat.argmax())} is degenerate (collinear)")
+        self._keep(vertices, triangles, tuple(self.dropped), angles)
+
+    def _keep(self, vertices, triangles, dropped, angles) -> "MeshModel":
+        """Store the checked faces and their angles, if there are 3 vertices."""
+        if len(vertices) < 3:
+            raise ValueError(f"mesh needs at least 3 vertices, got {len(vertices)}")
+        for name, value in zip(
+            ("vertices", "triangles", "dropped", "angles"),
+            (vertices, triangles, dropped, angles),
+        ):
+            object.__setattr__(self, name, value)
+        return self
 
     def triangle_points(self, t: int) -> TrianglePoints:
         i, j, k = self.triangles[t]
@@ -86,64 +115,60 @@ def _significant_lines(path) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _flatten(
-    rows: list[tuple[int, tuple[float, ...]]],
-) -> list[Point2]:
-    dims = {len(coords) for _, coords in rows}
-    if len(dims) != 1:
-        raise MeshFormatError(
-            "vertex lines mix 2D and 3D coordinates",
-            line=rows[0][0],
-        )
-    (dim,) = dims
-    if dim == 2:
-        return [Point2(c[0], c[1]) for _, c in rows]
-    zs = [c[2] for _, c in rows]
-    span = max(zs) - min(zs)
-    extent = max(1.0, max(abs(v) for _, c in rows for v in c))
-    if span > FLATTEN_Z_TOL * extent:
-        raise MeshFormatError(
-            f"3D mesh is not planar (z span {span:.3e}); only constant-z "
-            "inputs are flattened",
-            line=rows[0][0],
-        )
-    return [Point2(c[0], c[1]) for _, c in rows]
+def _flatten(rows: list[tuple[int, tuple[float, ...]]]) -> np.ndarray:
+    """(V, 2) coordinates of 2D vertex rows, or of 3D rows with constant z."""
+    if len({len(coords) for _, coords in rows}) != 1:
+        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=rows[0][0])
+    coords = np.array([c for _, c in rows])
+    if coords.shape[1] == 3:
+        zs = coords[:, 2].tolist()
+        span = max(zs) - min(zs)
+        extent = max(1.0, float(np.abs(coords).max()))
+        if span > FLATTEN_Z_TOL * extent:
+            raise MeshFormatError(
+                f"3D mesh is not planar (z span {span:.3e}); only constant-z "
+                "inputs are flattened",
+                line=rows[0][0],
+            )
+    return coords[:, :2]
 
 
 def _build_model(
     vertex_rows: list[tuple[int, tuple[float, ...]]],
     face_rows: list[tuple[int, tuple[int, int, int]]],
 ) -> MeshModel:
-    vertices = _flatten(vertex_rows)
-    nv = len(vertices)
-    kept: list[tuple[int, int, int]] = []
-    dropped: list[DegenerateFace] = []
-    for face_index, (lineno, idx) in enumerate(face_rows):
-        for i in idx:
-            if not 0 <= i < nv:
-                raise MeshFormatError(
-                    f"face index {i} out of range (mesh has {nv} vertices)",
-                    line=lineno,
-                )
-        tri = TrianglePoints(vertices[idx[0]], vertices[idx[1]], vertices[idx[2]])
-        if tri.is_collinear():
-            dropped.append(DegenerateFace(face_index, idx))
-        else:
-            kept.append(idx)
-    return MeshModel(tuple(vertices), tuple(kept), tuple(dropped))
+    xy = _flatten(vertex_rows)
+    triangles = tuple(idx for _, idx in face_rows)
+    faces, outside = _faces(xy, triangles)
+    if outside is not None:
+        t, index = outside
+        raise MeshFormatError(
+            f"face index {index} out of range (mesh has {len(xy)} vertices)",
+            line=face_rows[t][0],
+        )
+    flat, angles = measure_faces(xy, faces)
+    vertices = tuple(Point2(x, y) for x, y in xy.tolist())
+    dropped = tuple(DegenerateFace(int(t), triangles[t]) for t in np.flatnonzero(flat))
+    kept = tuple(compress(triangles, ~flat))
+    # the faces are checked and measured: skip __post_init__'s second pass
+    return MeshModel.__new__(MeshModel)._keep(vertices, kept, dropped, angles[~flat])
 
 
-def _parse_floats(tokens: list[str], lineno: int, what: str) -> tuple[float, ...]:
+def _vertex_row(tokens: list[str], lineno: int) -> tuple[int, tuple[float, ...]]:
+    if len(tokens) not in (2, 3):
+        raise MeshFormatError(
+            f"vertex line must have 2 or 3 floats, got {len(tokens)}", line=lineno
+        )
     try:
         values = tuple(float(tok) for tok in tokens)
     except ValueError as exc:
-        raise MeshFormatError(f"bad {what}: {exc}", line=lineno) from exc
+        raise MeshFormatError(f"bad vertex: {exc}", line=lineno) from exc
     if not all(math.isfinite(v) for v in values):
-        raise MeshFormatError(f"non-finite {what}", line=lineno)
-    return values
+        raise MeshFormatError("non-finite vertex", line=lineno)
+    return lineno, values
 
 
-def _load_off(path) -> MeshModel:
+def _read_off(path) -> tuple[list, list]:
     lines = _significant_lines(path)
     if not lines:
         raise MeshFormatError("empty file", line=1)
@@ -159,20 +184,18 @@ def _load_off(path) -> MeshModel:
         nv, nf = int(tokens[0]), int(tokens[1])
     except (ValueError, IndexError) as exc:
         raise MeshFormatError(f"bad counts line: {exc}", line=lineno) from exc
+    if nv < 1 or nf < 0:
+        raise MeshFormatError(
+            f"bad counts line: need vertices >= 1 and faces >= 0, got {nv} and {nf}",
+            line=lineno,
+        )
     body = lines[2:]
     if len(body) < nv + nf:
         raise MeshFormatError(
             f"expected {nv} vertex and {nf} face lines, found {len(body)}",
             line=lines[-1][0],
         )
-    vertex_rows = []
-    for lineno, tokens in body[:nv]:
-        if len(tokens) not in (2, 3):
-            raise MeshFormatError(
-                f"vertex line must have 2 or 3 floats, got {len(tokens)}",
-                line=lineno,
-            )
-        vertex_rows.append((lineno, _parse_floats(tokens, lineno, "vertex")))
+    vertex_rows = [_vertex_row(tokens, lineno) for lineno, tokens in body[:nv]]
     face_rows = []
     for lineno, tokens in body[nv : nv + nf]:
         if tokens[0] != "3":
@@ -186,22 +209,16 @@ def _load_off(path) -> MeshModel:
         except ValueError as exc:
             raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
         face_rows.append((lineno, idx))
-    return _build_model(vertex_rows, face_rows)
+    return vertex_rows, face_rows
 
 
-def _load_obj(path) -> MeshModel:
+def _read_obj(path) -> tuple[list, list]:
     vertex_rows = []
     face_rows = []
     for lineno, tokens in _significant_lines(path):
         key = tokens[0]
         if key == "v":
-            coords = tokens[1:]
-            if len(coords) not in (2, 3):
-                raise MeshFormatError(
-                    f"vertex line must have 2 or 3 floats, got {len(coords)}",
-                    line=lineno,
-                )
-            vertex_rows.append((lineno, _parse_floats(coords, lineno, "vertex")))
+            vertex_rows.append(_vertex_row(tokens[1:], lineno))
         elif key == "f":
             refs = tokens[1:]
             if len(refs) != 3:
@@ -227,7 +244,7 @@ def _load_obj(path) -> MeshModel:
         # every other directive (vn, vt, o, g, s, usemtl, ...) is ignored
     if not vertex_rows:
         raise MeshFormatError("no vertex lines found", line=1)
-    return _build_model(vertex_rows, face_rows)
+    return vertex_rows, face_rows
 
 
 def load_mesh(path, fmt: str | None = None) -> MeshModel:
@@ -254,12 +271,11 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
     if fmt is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()
         fmt = suffix
-    fmt = fmt.lower()
-    if fmt == "off":
-        return _load_off(path)
-    if fmt == "obj":
-        return _load_obj(path)
-    raise ValueError(f"unsupported mesh format {fmt!r} (use 'off' or 'obj')")
+    read = {"off": _read_off, "obj": _read_obj}.get(fmt.lower())
+    if read is None:
+        raise ValueError(f"unsupported mesh format {fmt!r} (use 'off' or 'obj')")
+    # the reader's token lists are freed before the model's array passes
+    return _build_model(*read(path))
 
 
 def save_off(mesh: MeshModel, path) -> None:
@@ -372,13 +388,16 @@ def analyze(
         raise ValueError("histogram needs at least one bin")
     if not mesh.triangles:
         raise ValueError("mesh has no valid triangles to analyze")
-    records = []
-    for t in range(len(mesh.triangles)):
-        angles = angles_of(mesh.triangle_points(t))
-        q = quality(angles).q
-        predicted = tuple(predict_quality(angles, s).q for s in steps)
-        records.append(TriangleRecord(t, angles, q, predicted))
-    qs = np.array([rec.q for rec in records])
+    angles, q = _repaired_quality(mesh.angles)
+    # predict_quality's deviation form, each step over all faces at once
+    columns = [
+        q if s == 0 else _ratios(after_steps(angles, THIRD_PI, s)) for s in steps
+    ]
+    predicted = zip(*columns) if steps else [()] * len(q)
+    # AngleTriple repairs the raw angles itself; repairing twice can move them
+    triples = map(AngleTriple, *_columns(mesh.angles))
+    records = list(map(TriangleRecord, range(len(q)), triples, q, predicted))
+    qs = np.array(q)
     counts, edges = np.histogram(qs, bins=bins, range=(0.0, 1.0))
     summary = QualitySummary(
         count=len(records),
@@ -389,6 +408,25 @@ def analyze(
         bin_counts=tuple(int(c) for c in counts),
     )
     return QualityReport(steps, tuple(records), summary, mesh.dropped)
+
+
+def _columns(angles: np.ndarray) -> list:
+    # Python floats made one at a time: whole-column lists would hold
+    # every angle at once, and leave the heap that much larger
+    return [map(float, column) for column in angles.T]
+
+
+def _ratios(angles: np.ndarray) -> list[float]:
+    return list(map(angle_ratio, *_columns(angles)))
+
+
+def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Angles (F, 3) as AngleTriple stores them, scaled to sum to pi, and
+    each face's quality."""
+    total = raw[:, 0] + raw[:, 1] + raw[:, 2]
+    # a total of exactly pi gives a scale of exactly 1, as AngleTriple skips it
+    angles = raw * (PI / total)[:, None]
+    return angles, _ratios(angles)
 
 
 def _parse_hex_color(text: str) -> tuple[int, int, int]:
@@ -514,17 +552,14 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
         f'width="{fmt(_SVG_WIDTH)}" height="{fmt(height)}" '
         f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
     ]
-    for t in range(len(mesh.triangles)):
-        tri = mesh.triangle_points(t)
-        q = quality(angles_of(tri)).q
-        fill = cmap.color(q)
-        coords = " ".join(
-            f"{fmt(p.x)},{fmt(-p.y)}" for p in tri.vertices()
-        )
-        lines.append(
-            f'  <polygon points="{coords}" fill="{fill}" '
-            f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>'
-        )
+    corner = [f"{fmt(x)},{fmt(y)}" for x, y in pts]
+    stroke = f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>'
+    _, q = _repaired_quality(mesh.angles)
+    lines += [
+        f'  <polygon points="{corner[i]} {corner[j]} {corner[k]}" '
+        f'fill="{cmap.color(qt)}" {stroke}'
+        for (i, j, k), qt in zip(mesh.triangles, q)
+    ]
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))

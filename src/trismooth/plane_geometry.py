@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angle_dynamics import AngleTriple, DegenerateTriangleError
 
 #: Cross products below this, relative to the squared longest edge (or the
@@ -86,7 +88,12 @@ class TrianglePoints:
             raise OverflowError(
                 f"squared edge length overflows for vertices {self.vertices()}"
             )
-        return abs(self.doubled_signed_area()) <= COLLINEAR_REL_EPS * longest_sq
+        return _flat(self.doubled_signed_area(), longest_sq)
+
+
+def _flat(twice_area, longest_sq):
+    """The collinearity test, for one triangle's floats or arrays of faces."""
+    return abs(twice_area) <= COLLINEAR_REL_EPS * longest_sq
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,52 @@ def angles_of(tri: TrianglePoints) -> AngleTriple:
     return AngleTriple(
         _vertex_angle(A, B, C), _vertex_angle(B, C, A), _vertex_angle(C, A, B)
     )
+
+
+def _mapped(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # math's hypot and atan2, not numpy's: those differ in the last bit
+    return np.fromiter(map(fn, x.flat, y.flat), dtype=float, count=x.size).reshape(
+        x.shape
+    )
+
+
+def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, y = xy[faces, 0], xy[faces, 1]
+    # as Python floats do, overflow quietly: the inf test below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at each corner, u runs to the next corner and v to the one after,
+        # as in _vertex_angle; u is also the edge AB, BC or CA
+        ux, uy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+        vx, vy = np.roll(x, -2, axis=1) - x, np.roll(y, -2, axis=1) - y
+        cross, dot = np.abs(ux * vy - uy * vx), ux * vx + uy * vy
+        edges = _mapped(math.hypot, ux, uy)
+        longest_sq = (edges * edges).max(axis=1)
+    overflow = np.flatnonzero(longest_sq == math.inf)
+    if overflow.size:
+        corners = tuple(Point2(*p) for p in xy[faces[overflow[0]]].tolist())
+        raise OverflowError(f"squared edge length overflows for vertices {corners}")
+    return _flat(cross[:, 0], longest_sq), _mapped(math.atan2, cross, dot)
+
+
+#: Faces per block in measure_faces: small temporaries, reused block to block,
+#: keep its memory flat however many faces there are.
+_FACE_BLOCK = 4096
+
+
+def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collinearity flags (F,) and inner angles (F, 3) of many triangles at once.
+
+    ``faces`` holds vertex indices into ``xy`` (V, 2), corners A, B, C per
+    row.  This is ``is_collinear`` and ``angles_of`` over arrays, with their
+    expressions in their order, so each face gets the scalar path's bits.
+    The angles are alpha, beta, gamma before AngleTriple's sum repair.
+    Raises OverflowError as ``is_collinear`` does, for the first such face.
+    """
+    flat, angles = np.empty(len(faces), dtype=bool), np.empty((len(faces), 3))
+    for start in range(0, len(faces), _FACE_BLOCK):
+        block = slice(start, start + _FACE_BLOCK)
+        flat[block], angles[block] = _measure_block(xy, faces[block])
+    return flat, angles
 
 
 def construct_transformed(tri: TrianglePoints) -> TrianglePoints:

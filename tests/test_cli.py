@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trismooth
 from trismooth import cli
+from trismooth.angle_dynamics import STEP_CLAMP
 from trismooth.simple_mesh import mesh_to_dict, optimal_mesh
 
 PI = math.pi
@@ -54,6 +60,28 @@ def test_iterate_json_output(capsys):
     assert doc["steps"][2]["alpha"] == pytest.approx(67.5, abs=1e-9)
     assert doc["steps"][2]["deviation_ratio2"] == pytest.approx(0.25, abs=1e-9)
     assert doc["steps"][0]["quality"] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_iterate_step_limit(capsys):
+    argv = ["iterate", "--angles", "90,60,30", "--degrees", "--steps"]
+    code, out, _ = run(capsys, argv + [str(STEP_CLAMP)])
+    assert code == 0
+    assert len(out.splitlines()) == 2 + STEP_CLAMP + 1  # unit line, header, rows
+    code, out, err = run(capsys, argv + [str(STEP_CLAMP + 1)])
+    assert (code, out, err) == (2, "", f"error: --steps must be <= {STEP_CLAMP}\n")
+
+
+def test_iterate_huge_step_count_ends_quickly():
+    # a literal loop over 10**400 steps would never end
+    src = str(Path(trismooth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["iterate", "--angles", "90,60,30", "--degrees", "--steps", "1" + "0" * 400]
+    done = subprocess.run(
+        [sys.executable, "-m", "trismooth.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --steps must be <= {STEP_CLAMP}\n"
 
 
 def test_iterate_rejects_bad_angle_sum(capsys):
@@ -393,6 +421,30 @@ def test_analyze_malformed_mesh_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(mesh)])
     assert code == 3
     assert "line 6" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("text", ["OFF\n0 0 0\n", "OFF\n-1 1 0\n0 0\n", "OFF\n3 -1 0\n"])
+def test_off_counts_without_vertices_are_io_errors(capsys, tmp_path, command, text):
+    mesh = tmp_path / "m.off"
+    mesh.write_text(text)
+    extra = ["--out", str(tmp_path / "m.svg")] if command == "render" else []
+    code, out, err = run(capsys, [command, str(mesh), *extra])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 2: bad counts line")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print beside the error line
+@pytest.mark.parametrize("command", ["analyze", "render"])
+def test_mesh_overflow_is_numeric_error(capsys, tmp_path, command):
+    mesh = tmp_path / "m.off"
+    mesh.write_text("OFF\n3 1 0\n0 0\n1e200 0\n0 1e200\n3 0 1 2\n")
+    extra = ["--out", str(tmp_path / "m.svg")] if command == "render" else []
+    code, out, err = run(capsys, [command, str(mesh), *extra])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: squared edge length overflows for vertices")
+    assert len(err.splitlines()) == 1
 
 
 def test_render_writes_svg(capsys, tmp_path):

@@ -3,19 +3,27 @@
 import csv
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from trismooth import (
+    AngleTriple,
     ColorMap,
     MeshFormatError,
     MeshModel,
     Point2,
+    TrianglePoints,
     analyze,
     angles_of,
+    cli,
     iterate,
     load_mesh,
+    plane_geometry,
+    predict_quality,
     quality,
     render_svg,
     save_off,
@@ -62,6 +70,27 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def jittered_grid_off(cells, seed):
+    """OFF text of a unit-square grid, interior vertices jittered by up to
+    0.2 cells per axis, each cell split into two triangles."""
+    rng = np.random.default_rng(seed)
+    n = cells + 1
+    iy, ix = np.divmod(np.arange(n * n), n)
+    xy = np.column_stack([ix, iy]).astype(float)
+    inner = (ix > 0) & (ix < cells) & (iy > 0) & (iy < cells)
+    xy[inner] += rng.uniform(-0.2, 0.2, size=(inner.sum(), 2))
+    xy /= cells
+    faces = []
+    for r in range(cells):
+        for c in range(cells):
+            a = r * n + c
+            faces += [(a, a + 1, a + n + 1), (a, a + n + 1, a + n)]
+    lines = [f"OFF\n{n * n} {len(faces)} 0"]
+    lines += [f"{x!r} {y!r}" for x, y in xy.tolist()]
+    lines += [f"3 {i} {j} {k}" for i, j, k in faces]
+    return "\n".join(lines) + "\n"
 
 
 # --- loading -------------------------------------------------------------------
@@ -116,6 +145,13 @@ def test_load_off_header_and_truncation_errors(tmp_path):
         load_mesh(write(tmp_path, "m.off", ""))
 
 
+@pytest.mark.parametrize("text", ["OFF\n0 0 0\n", "OFF\n-1 1 0\n0 0\n", "OFF\n3 -1 0\n"])
+def test_load_off_counts_need_a_vertex_and_no_negative(tmp_path, text):
+    with pytest.raises(MeshFormatError, match="bad counts line") as err:
+        load_mesh(write(tmp_path, "m.off", text))
+    assert err.value.line == 2
+
+
 def test_load_obj_with_reference_slashes(tmp_path):
     mesh = load_mesh(write(tmp_path, "m.obj", OBJ_WITH_SLASHES))
     assert len(mesh.vertices) == 3
@@ -153,6 +189,37 @@ def test_degenerate_faces_dropped_and_reported(tmp_path):
     assert mesh.dropped[0].indices == (0, 1, 2)
 
 
+def test_collinearity_agrees_with_scalar_test_near_threshold(tmp_path):
+    # third vertex at a height h over the base: faces on both sides of
+    # is_collinear's threshold, with the base at many scales and directions
+    rng = np.random.default_rng(7)
+    rows, count = [], 600
+    for _ in range(count):
+        a = rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-3, 4)
+        d = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)
+        h = 10.0 ** rng.uniform(-13.5, -10.5) * np.array([-d[1], d[0]])
+        rows += [a, a + d, a + rng.uniform(-1, 2) * d + h]
+    rows = np.array(rows).tolist()
+    text = f"OFF\n{3 * count} {count} 0\n"
+    text += "".join(f"{x!r} {y!r}\n" for x, y in rows)
+    text += "".join(f"3 {3 * t} {3 * t + 1} {3 * t + 2}\n" for t in range(count))
+    mesh = load_mesh(write(tmp_path, "m.off", text))
+    pts = [Point2(x, y) for x, y in rows]
+    flat = [TrianglePoints(*pts[3 * t : 3 * t + 3]).is_collinear() for t in range(count)]
+    assert [d.face_index for d in mesh.dropped] == [t for t in range(count) if flat[t]]
+    assert 50 < sum(flat) < count - 50
+
+
+def test_mesh_overflow_names_the_face_like_the_scalar_test(tmp_path):
+    text = "OFF\n4 2 0\n0 0\n1 0\n0 1\n1e200 0\n3 0 1 2\n3 0 3 2\n"
+    with pytest.raises(OverflowError) as mesh_err:
+        load_mesh(write(tmp_path, "m.off", text))
+    tri = TrianglePoints(Point2(0.0, 0.0), Point2(1e200, 0.0), Point2(0.0, 1.0))
+    with pytest.raises(OverflowError) as scalar_err:
+        tri.is_collinear()
+    assert str(mesh_err.value) == str(scalar_err.value)
+
+
 def test_mesh_model_validation():
     pts = (Point2(0, 0), Point2(1, 0), Point2(0, 1))
     with pytest.raises(ValueError):
@@ -162,6 +229,8 @@ def test_mesh_model_validation():
     collinear = (Point2(0, 0), Point2(1, 0), Point2(2, 0))
     with pytest.raises(ValueError):
         MeshModel(collinear, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="out of range"):
+        MeshModel(pts, ((0, 1, 2), (0, 1, 10**30)))
 
 
 # --- OFF writing -----------------------------------------------------------------
@@ -215,6 +284,52 @@ def test_analyze_prediction_matches_iteration(tmp_path):
         for n, predicted in zip(steps, rec.predicted):
             actual = quality(iterate(rec.angles, n)).q
             assert abs(predicted - actual) < 1e-12
+
+
+def test_mesh_pass_matches_scalar_path_bit_for_bit(tmp_path):
+    mesh = load_mesh(write(tmp_path, "grid.off", jittered_grid_off(32, seed=3)))
+    steps = (0, 1, 2, 7)
+    report = analyze(mesh, steps)
+    path = tmp_path / "grid.svg"
+    render_svg(mesh, path)
+    polygons = [el for el in ET.parse(path).getroot() if el.tag.endswith("polygon")]
+    assert len(report.triangles) == len(polygons) == 2 * 32 * 32
+    cmap = ColorMap.default()
+    for t, (rec, polygon) in enumerate(zip(report.triangles, polygons)):
+        tri = mesh.triangle_points(t)
+        angles = angles_of(tri)
+        assert rec.angles == angles
+        assert rec.q == quality(angles).q
+        assert rec.predicted == tuple(predict_quality(angles, s).q for s in steps)
+        assert polygon.get("fill") == cmap.color(rec.q)
+        corners = " ".join(f"{p.x:.9g},{-p.y:.9g}" for p in tri.vertices())
+        assert polygon.get("points") == corners
+
+
+def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch):
+    path = write(tmp_path, "grid.off", jittered_grid_off(8, seed=1))
+    calls = Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(TrianglePoints, "is_collinear")
+    count(TrianglePoints, "__init__")
+    count(plane_geometry, "angles_of")
+    count(AngleTriple, "__init__")
+    mesh = load_mesh(path)
+    render_svg(mesh, tmp_path / "grid.svg")
+    assert calls == Counter()
+    report = analyze(mesh, (1, 2, 4))
+    # the report's records hold one AngleTriple per face, and nothing else is built
+    assert calls == Counter({"AngleTriple.__init__": len(mesh.triangles)})
+    assert len(report.triangles) == 128
 
 
 def test_analyze_empty_steps_and_errors(tmp_path):
@@ -344,3 +459,52 @@ def test_render_viewbox_has_margin(tmp_path):
     assert w == pytest.approx(1.0 + 0.04, rel=1e-6)
     assert h == pytest.approx(1.0 + 0.04, rel=1e-6)
     assert y == pytest.approx(-1.0 - 0.02, rel=1e-6)
+
+
+# --- parser fuzzing ----------------------------------------------------------------
+
+FUZZ_TOKENS = "OFF v f 3 0 1 -1 0.5 1e308 nan inf # 1/2".split() + ["\n"] * 4
+FUZZ_SEEDS = {
+    "off": "OFF \n 4 2 0 \n 0 0 \n 1 0 \n 0 1 \n 1 1 \n 3 0 1 2 \n 3 1 3 2 \n".split(" "),
+    "obj": "v 0 0 \n v 1 0 \n v 0 1 \n v 1 1 \n f 1 2 3 \n f 2 4 3 \n".split(" "),
+}
+
+
+def fuzz_text(rng, fmt):
+    """A random token stream (after an OFF header, for most OFF files), or a
+    valid mesh with one to three tokens dropped, replaced or inserted."""
+    if rng.random() < 0.5:
+        head = ["OFF", "\n"] if fmt == "off" and rng.random() < 0.8 else []
+        return " ".join(head + [rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 30))])
+    tokens = list(FUZZ_SEEDS[fmt])
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        action = rng.choice(("drop", "replace", "insert"))
+        if action == "drop":
+            del tokens[i]
+        elif action == "replace":
+            tokens[i] = rng.choice(FUZZ_TOKENS)
+        else:
+            tokens.insert(i, rng.choice(FUZZ_TOKENS))
+    return " ".join(tokens)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print beside the error line
+def test_parser_fuzz_gives_only_documented_exit_codes(tmp_path, capsys):
+    rng = random.Random(5)
+    codes = Counter()
+    for case in range(500):
+        fmt = ("off", "obj")[case % 2]
+        text = fuzz_text(rng, fmt)
+        path = write(tmp_path, f"m.{fmt}", text)
+        try:
+            code = cli.main(["analyze", str(path)])
+        except Exception as exc:  # the CLI must classify every failure itself
+            pytest.fail(f"{fmt} input {text!r} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (text, err)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == (code != 0), (text, err)
+        codes[code] += 1
+    # the streams reach past the parsers: some load and analyze, some overflow
+    assert min(codes[0], codes[2], codes[3], codes[4]) > 0, codes
