@@ -2,8 +2,8 @@
 
 Subcommands: iterate, predict, construct, simple-mesh, analyze, render.
 Exit codes: 0 success, 2 invalid input, 3 I/O or file-format failure,
-4 numerical failure (a mesh transformation step degenerated or a float
-overflowed).
+4 numerical failure (a mesh transformation step degenerated, a float
+overflowed or memory ran out).
 
 Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document and
 the text lines.  ``main`` prints one of them; nothing else here prints
@@ -62,8 +62,8 @@ EXIT_NUMERIC = 4
 Result = tuple[object, list[str]]
 
 
-def _fail(exc: BaseException, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _fail(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return code
 
 
@@ -115,10 +115,16 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
     return items
 
 
-def _steps(args: argparse.Namespace) -> int:
+def _stepping(args: argparse.Namespace, state, step):
+    """Yield ``state`` and its ``--steps`` successors under ``step``, one per row."""
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    return args.steps
+    if args.steps > STEP_CLAMP:  # every triangle and fan is at its fixed point by then
+        raise ValueError(f"--steps must be <= {STEP_CLAMP}")
+    yield state
+    for _ in range(args.steps):
+        state = step(state)
+        yield state
 
 
 def _angle_triple(args: argparse.Namespace) -> AngleTriple:
@@ -153,15 +159,10 @@ def _write_svg(args: argparse.Namespace, path: str, mesh: MeshModel) -> str:
 
 def cmd_iterate(args: argparse.Namespace) -> Result:
     t = _angle_triple(args)
-    if _steps(args) > STEP_CLAMP:  # one row per step, and pi/3 is reached long before
-        raise ValueError(f"--steps must be <= {STEP_CLAMP}")
-    trajectory = [t]
-    for _ in range(args.steps):
-        trajectory.append(transform(trajectory[-1]))
     track = max(range(3), key=lambda i: t.as_tuple()[i])
-    devs = [tr.as_tuple()[track] - THIRD_PI for tr in trajectory]
-    entries = []
-    for n, tr in enumerate(trajectory):
+    devs, entries = [], []
+    for n, tr in enumerate(_stepping(args, t, transform)):
+        devs.append(tr.as_tuple()[track] - THIRD_PI)
         ratio2 = None
         if n >= 2 and abs(devs[n - 2]) > 0.0:
             ratio2 = abs(devs[n]) / abs(devs[n - 2])
@@ -211,14 +212,13 @@ def cmd_construct(args: argparse.Namespace) -> Result:
     v = _parse_values(args.points, "--points", 6, "6 values (x1,y1,x2,y2,x3,y3)")
     tri = TrianglePoints(Point2(v[0], v[1]), Point2(v[2], v[3]), Point2(v[4], v[5]))
     area0 = tri.area()
-    trajectory = [tri]
-    for _ in range(_steps(args)):
-        new = construct_transformed(trajectory[-1])
-        if args.rescale:
-            new = rescale_to_area(new, area0)
-        trajectory.append(new)
+
+    def step(cur: TrianglePoints) -> TrianglePoints:
+        new = construct_transformed(cur)
+        return rescale_to_area(new, area0) if args.rescale else new
+
     entries = []
-    for n, cur in enumerate(trajectory):
+    for n, cur in enumerate(_stepping(args, tri, step)):
         ang = angles_of(cur)
         entries.append(
             {
@@ -241,8 +241,8 @@ def cmd_construct(args: argparse.Namespace) -> Result:
         ],
     )
     if args.svg:
-        vertices = [p for cur in trajectory for p in cur.vertices()]
-        triangles = [(3 * n, 3 * n + 1, 3 * n + 2) for n in range(len(trajectory))]
+        vertices = [Point2(*xy) for e in entries for xy in e["vertices"]]
+        triangles = [(3 * n, 3 * n + 1, 3 * n + 2) for n in range(len(entries))]
         lines.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
     return {"unit": _unit(args), "rescale": args.rescale, "steps": entries}, lines
 
@@ -267,11 +267,8 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     mesh = _simple_mesh_source(args)
     n = mesh.n_triangles
     k = correction_terms(n)
-    states = [mesh]
-    for _ in range(_steps(args)):
-        states.append(transform_mesh(states[-1]))
     entries = []
-    for step, m in enumerate(states):
+    for step, m in enumerate(_stepping(args, mesh, transform_mesh)):
         mq = mesh_quality(m)
         entries.append(
             {
@@ -282,7 +279,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
                 "max_residual": m.constraint_residuals().max(),
             }
         )
-    final = states[-1]
+    final = m  # the loop yields at least the starting fan
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
     lines = [
@@ -463,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_USAGE)
     except ArithmeticError as exc:
         return _fail(exc, EXIT_NUMERIC)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # a bare MemoryError has no message
+        return _fail(f"out of memory{detail}", EXIT_NUMERIC)
     output = [json.dumps(document, indent=2)] if args.json else lines
     print(*output, sep="\n")
     return EXIT_OK

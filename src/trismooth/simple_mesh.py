@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .plane_geometry import Point2, TrianglePoints, angles_of
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
-
-#: Reconstruction normalizes the total turn when it is at least this close.
-TURN_NORMALIZE_TOL = 1e-9
 
 #: random_mesh: Dirichlet concentration, angle floor, and draws before failing.
 RANDOM_CONCENTRATION = 8.0
@@ -84,6 +81,7 @@ class SimpleMeshAngles:
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     gamma: tuple[float, ...]
+    _residuals: ConstraintResiduals = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", tuple(self.alpha))
@@ -103,7 +101,13 @@ class SimpleMeshAngles:
                     raise MeshConstraintError(
                         f"triangle {i}: {name} = {v!r} is not positive"
                     )
-        res = self.constraint_residuals()
+        a, b, g = self.alpha, self.beta, self.gamma
+        res = ConstraintResiduals(
+            max(abs(a[i] + b[i] + g[i] - PI) for i in range(n)),
+            abs(math.fsum(a) - 2.0 * PI),
+            abs(math.fsum(b) - (n - 2) * PI / 2.0),
+        )
+        object.__setattr__(self, "_residuals", res)
         if res.max() > CONSTRAINT_TOL:
             raise MeshConstraintError(
                 "constraint equations violated: worst residuals "
@@ -119,14 +123,8 @@ class SimpleMeshAngles:
         return AngleTriple(self.alpha[i], self.beta[i], self.gamma[i])
 
     def constraint_residuals(self) -> ConstraintResiduals:
-        n = len(self.alpha)
-        tri = max(
-            abs(self.alpha[i] + self.beta[i] + self.gamma[i] - PI)
-            for i in range(n)
-        )
-        apex = abs(math.fsum(self.alpha) - 2.0 * PI)
-        base = abs(math.fsum(self.beta) - (n - 2) * PI / 2.0)
-        return ConstraintResiduals(tri, apex, base)
+        """The residuals measured when the mesh was built."""
+        return self._residuals
 
 
 @dataclass(frozen=True)
@@ -302,16 +300,16 @@ def reconstruct_geometry(
     The interior vertex sits at the origin and boundary vertex 1 at
     ``first_radius`` along +x.  Each next direction turns by alpha_i and
     each next radius follows the law of sines,
-    r_{i+1} = r_i sin(beta_i) / sin(gamma_i).  When the apex sum is
-    within ``TURN_NORMALIZE_TOL`` of 2 pi, turning is rescaled to close
-    exactly; the residuals report the raw mismatches either way.
+    r_{i+1} = r_i sin(beta_i) / sin(gamma_i).  Turning is scaled by
+    2 pi / (apex sum) to close exactly (that sum is within ``CONSTRAINT_TOL``
+    of 2 pi for every mesh); the residuals report the raw mismatches.
     """
     if not (first_radius > 0.0) or not math.isfinite(first_radius):
         raise ValueError(f"first radius must be positive, got {first_radius!r}")
     n = m.n_triangles
     turn = math.fsum(m.alpha)
     turn_residual = turn - 2.0 * PI
-    scale = 2.0 * PI / turn if abs(turn_residual) <= TURN_NORMALIZE_TOL else 1.0
+    scale = 2.0 * PI / turn
     theta = 0.0
     r = first_radius
     points: list[Point2] = []

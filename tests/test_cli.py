@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,20 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_child(args, **kwargs):
+    """Run ``python *args`` in a subprocess that imports this checkout's package."""
+    src = str(Path(trismooth.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+        **kwargs,
+    )
 
 
 # --- iterate -----------------------------------------------------------------
@@ -60,28 +75,6 @@ def test_iterate_json_output(capsys):
     assert doc["steps"][2]["alpha"] == pytest.approx(67.5, abs=1e-9)
     assert doc["steps"][2]["deviation_ratio2"] == pytest.approx(0.25, abs=1e-9)
     assert doc["steps"][0]["quality"] == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_iterate_step_limit(capsys):
-    argv = ["iterate", "--angles", "90,60,30", "--degrees", "--steps"]
-    code, out, _ = run(capsys, argv + [str(STEP_CLAMP)])
-    assert code == 0
-    assert len(out.splitlines()) == 2 + STEP_CLAMP + 1  # unit line, header, rows
-    code, out, err = run(capsys, argv + [str(STEP_CLAMP + 1)])
-    assert (code, out, err) == (2, "", f"error: --steps must be <= {STEP_CLAMP}\n")
-
-
-def test_iterate_huge_step_count_ends_quickly():
-    # a literal loop over 10**400 steps would never end
-    src = str(Path(trismooth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["iterate", "--angles", "90,60,30", "--degrees", "--steps", "1" + "0" * 400]
-    done = subprocess.run(
-        [sys.executable, "-m", "trismooth.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"error: --steps must be <= {STEP_CLAMP}\n"
 
 
 def test_iterate_rejects_bad_angle_sum(capsys):
@@ -383,6 +376,46 @@ def test_simple_mesh_source_validation(capsys):
     assert code == 2
 
 
+def test_simple_mesh_keeps_no_trajectory(capsys):
+    # 301 fans of 200 triangles take about 6 MiB when every state is kept
+    tracemalloc.start()
+    try:
+        code = cli.main(["simple-mesh", "--n", "200", "--optimal", "--steps", "300"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+# --- step limit of iterate, construct and simple-mesh -------------------------------
+
+STEPPING = {
+    "iterate": ["iterate", "--angles", "90,60,30", "--degrees"],
+    "construct": ["construct", "--points", "0,0,1,0,0,1", "--rescale"],
+    "simple-mesh": ["simple-mesh", "--n", "5", "--optimal"],
+}
+
+
+@pytest.mark.parametrize("command", STEPPING)
+def test_step_limit(capsys, command):
+    code, out, _ = run(capsys, STEPPING[command] + ["--steps", str(STEP_CLAMP)])
+    assert code == 0
+    rows = [line.split()[0] for line in out.splitlines()]
+    assert [r for r in rows if r.isdigit()] == [str(n) for n in range(STEP_CLAMP + 1)]
+    code, out, err = run(capsys, STEPPING[command] + ["--steps", str(STEP_CLAMP + 1)])
+    assert (code, out, err) == (2, "", f"error: --steps must be <= {STEP_CLAMP}\n")
+
+
+@pytest.mark.parametrize("command", STEPPING)
+def test_huge_step_count_ends_quickly(command):
+    # a literal loop over 10**400 steps would never end
+    steps = "1" + "0" * 400
+    done = run_child(["-m", "trismooth.cli", *STEPPING[command], "--steps", steps])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --steps must be <= {STEP_CLAMP}\n"
+
+
 # --- analyze / render -------------------------------------------------------------
 
 def test_analyze_writes_reports(capsys, tmp_path):
@@ -466,6 +499,32 @@ def test_render_requires_out_and_validates_colormap(capsys, tmp_path):
         ["render", str(mesh), "--out", str(tmp_path / "x.svg"), "--colormap", "zz"],
     )
     assert code == 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs /proc and RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "tri.off", "--bins", "1000000000"],
+        ["simple-mesh", "--n", "100000000", "--optimal"],
+    ],
+)
+def test_out_of_memory_is_numeric_error(tmp_path, argv):
+    # the child caps its own address space 256 MiB above what it maps after
+    # importing, so the large allocation fails at once instead of being made
+    (tmp_path / "tri.off").write_text(MINIMAL_OFF)
+    script = (
+        "import resource, sys\n"
+        "from trismooth import cli\n"
+        "mapped = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**28, hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = run_child(["-c", script, *argv], cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("error: out of memory")
+    assert len(done.stderr.splitlines()) == 1
 
 
 # --- config and argparse behavior ---------------------------------------------------

@@ -86,8 +86,10 @@ def test_mesh_constructor_validates():
 
 def test_constraint_residuals_near_zero_for_optimal():
     for n in range(3, 13):
-        res = optimal_mesh(n).constraint_residuals()
+        m = optimal_mesh(n)
+        res = m.constraint_residuals()
         assert res.max() < 1e-12
+        assert m.constraint_residuals() is res  # measured once, when built
 
 
 # --- transformation ------------------------------------------------------------
