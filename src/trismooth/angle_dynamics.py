@@ -151,9 +151,16 @@ def after_steps(x, fixed, n: int):
     return fixed + (-0.5) ** n * (x - fixed)
 
 
-def angle_ratio(a: float, b: float, g: float) -> float:
-    """Smallest over largest of three angles."""
-    return min(a, b, g) / max(a, b, g)
+def angle_ratio(a, b, g):
+    """Smallest over largest of three angles; floats or arrays.
+
+    Floats give a float of their own type (a Python float's repr is what
+    the reports write); arrays give the elementwise ratios.  The float
+    test comes first: the scalar API calls this once per triangle.
+    """
+    if isinstance(a, float):
+        return min(a, b, g) / max(a, b, g)
+    return np.minimum(np.minimum(a, b), g) / np.maximum(np.maximum(a, b), g)
 
 
 def transform(t: AngleTriple) -> AngleTriple:

@@ -342,11 +342,9 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     ]
     if report.dropped:
         lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
-    for rec in report.triangles:
-        preds = " ".join(
-            f"q{s_}={v:.6f}" for s_, v in zip(report.predict_steps, rec.predicted)
-        )
-        lines.append(f"  triangle {rec.index}: q={rec.q:.6f} {preds}".rstrip())
+    template = "  triangle %d: q=%.6f"
+    template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
+    lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
     # the document is built only when printed: it is large for big meshes
     return report.to_dict() if args.json else None, lines + written
 

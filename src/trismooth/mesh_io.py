@@ -11,16 +11,23 @@ per triangle.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
-from .angle_dynamics import PI, THIRD_PI, AngleTriple, after_steps, angle_ratio
-from .plane_geometry import Point2, TrianglePoints, measure_faces
+from .angle_dynamics import (
+    PI,
+    SUM_REPAIR_TOL,
+    THIRD_PI,
+    AngleTriple,
+    after_steps,
+    angle_ratio,
+)
+from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, measure_faces
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -307,32 +314,74 @@ class QualitySummary:
     bin_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+class _Records(Sequence):
+    """A report's faces as TriangleRecords, each built when it is indexed."""
+
+    def __init__(self, report: "QualityReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.q)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(map(self.__getitem__, range(len(self))[t]))
+        r, t = self._report, range(len(self))[t]  # IndexError past either end
+        # AngleTriple repairs the raw angles itself; repairing twice can move them
+        angles = AngleTriple(*r.raw[t].tolist())
+        return TriangleRecord(t, angles, r.q[t].item(), tuple(r.predicted[t].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class QualityReport:
-    """Per-triangle quality data plus predictions and a histogram summary."""
+    """Per-triangle quality of a mesh, held as columns, and a histogram summary.
+
+    ``raw`` is each face's angles as measured (F, 3), ``angles`` the same
+    after AngleTriple's sum repair, ``q`` their min/max-angle quality (F,)
+    and ``predicted`` the closed-form quality after each of
+    ``predict_steps`` (F, S).  ``triangles[t]`` builds face t's
+    TriangleRecord from them when it is indexed.  The JSON and CSV writers
+    format the columns ``FACE_BLOCK`` faces at a time through ``%r``
+    templates: for the finite floats a report holds, that is the text
+    ``json`` and ``csv`` write.
+    """
 
     predict_steps: tuple[int, ...]
-    triangles: tuple[TriangleRecord, ...]
+    raw: np.ndarray
+    angles: np.ndarray
+    q: np.ndarray
+    predicted: np.ndarray
     summary: QualitySummary
     dropped: tuple[DegenerateFace, ...] = ()
 
+    @property
+    def triangles(self) -> Sequence[TriangleRecord]:
+        return _Records(self)
+
+    def rows(self, template: str, sep: str, *columns: np.ndarray) -> Iterator[str]:
+        """Each face's index and its entries of ``columns`` through
+        ``template``, faces joined by ``sep``: one string per block of
+        ``FACE_BLOCK`` faces, each block after the first led by ``sep``."""
+        table = np.column_stack((np.arange(len(self.q)), *columns))
+        for start in range(0, len(table), FACE_BLOCK):
+            block = table[start : start + FACE_BLOCK]
+            text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+            yield sep + text if start else text
+
     def to_dict(self) -> dict:
+        keys = [str(s) for s in self.predict_steps]
+        rows = zip(self.angles.tolist(), self.q.tolist(), self.predicted.tolist())
+        triangles = [
+            {"index": t, "alpha": a, "beta": b, "gamma": g, "q": q,
+             "predicted": dict(zip(keys, p))}
+            for t, ((a, b, g), q, p) in enumerate(rows)
+        ]
+        return self._document(triangles)
+
+    def _document(self, triangles: list) -> dict:
         return {
             "predict_steps": list(self.predict_steps),
-            "triangles": [
-                {
-                    "index": rec.index,
-                    "alpha": rec.angles.alpha,
-                    "beta": rec.angles.beta,
-                    "gamma": rec.angles.gamma,
-                    "q": rec.q,
-                    "predicted": {
-                        str(s): v
-                        for s, v in zip(self.predict_steps, rec.predicted)
-                    },
-                }
-                for rec in self.triangles
-            ],
+            "triangles": triangles,
             "summary": {
                 "count": self.summary.count,
                 "min": self.summary.q_min,
@@ -350,26 +399,31 @@ class QualityReport:
         }
 
     def write_json(self, path) -> None:
+        """``to_dict()`` as ``json.dump(indent=2)`` writes it, plus a newline."""
+        around = json.dumps(self._document([]), indent=2)
+        head, _, tail = around.partition('"triangles": []')
+        steps = list(dict.fromkeys(self.predict_steps))  # a dict keeps one key per step
+        predicted = ",".join(f'\n        "{s}": %r' for s in steps)
+        template = (
+            '    {\n      "index": %d,\n      "alpha": %r,\n      "beta": %r,\n'
+            '      "gamma": %r,\n      "q": %r,\n      "predicted": {'
+            + (predicted + "\n      " if steps else "")
+            + "}\n    }"
+        )
+        values = self.predicted[:, [self.predict_steps.index(s) for s in steps]]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(head + '"triangles": [\n')
+            fh.writelines(self.rows(template, ",\n", self.angles, self.q, values))
+            fh.write("\n  ]" + tail + "\n")
 
     def write_csv(self, path) -> None:
+        """One row per face, as ``csv.writer`` writes it: no field needs quotes."""
         header = ["index", "alpha", "beta", "gamma", "q"]
         header += [f"q_pred_{s}" for s in self.predict_steps]
+        template = ",".join(["%d"] + ["%r"] * (len(header) - 1)) + "\r\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rec in self.triangles:
-                row = [
-                    rec.index,
-                    repr(rec.angles.alpha),
-                    repr(rec.angles.beta),
-                    repr(rec.angles.gamma),
-                    repr(rec.q),
-                ]
-                row += [repr(v) for v in rec.predicted]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(self.rows(template, "", self.angles, self.q, self.predicted))
 
 
 def analyze(
@@ -389,44 +443,36 @@ def analyze(
     if not mesh.triangles:
         raise ValueError("mesh has no valid triangles to analyze")
     angles, q = _repaired_quality(mesh.angles)
-    # predict_quality's deviation form, each step over all faces at once
-    columns = [
-        q if s == 0 else _ratios(after_steps(angles, THIRD_PI, s)) for s in steps
-    ]
-    predicted = zip(*columns) if steps else [()] * len(q)
-    # AngleTriple repairs the raw angles itself; repairing twice can move them
-    triples = map(AngleTriple, *_columns(mesh.angles))
-    records = list(map(TriangleRecord, range(len(q)), triples, q, predicted))
-    qs = np.array(q)
-    counts, edges = np.histogram(qs, bins=bins, range=(0.0, 1.0))
+    predicted = np.empty((len(q), len(steps)))
+    for i, s in enumerate(steps):
+        # predict_quality's deviation form, over all faces at once
+        predicted[:, i] = angle_ratio(*after_steps(angles, THIRD_PI, s).T) if s else q
+    counts, edges = np.histogram(q, bins=bins, range=(0.0, 1.0))
     summary = QualitySummary(
-        count=len(records),
-        q_min=float(qs.min()),
-        q_max=float(qs.max()),
-        q_mean=float(qs.mean()),
-        bin_edges=tuple(float(e) for e in edges),
-        bin_counts=tuple(int(c) for c in counts),
+        count=len(q),
+        q_min=float(q.min()),
+        q_max=float(q.max()),
+        q_mean=float(q.mean()),
+        bin_edges=tuple(edges.tolist()),
+        bin_counts=tuple(counts.tolist()),
     )
-    return QualityReport(steps, tuple(records), summary, mesh.dropped)
+    return QualityReport(
+        steps, mesh.angles, angles, q, predicted, summary, mesh.dropped
+    )
 
 
-def _columns(angles: np.ndarray) -> list:
-    # Python floats made one at a time: whole-column lists would hold
-    # every angle at once, and leave the heap that much larger
-    return [map(float, column) for column in angles.T]
-
-
-def _ratios(angles: np.ndarray) -> list[float]:
-    return list(map(angle_ratio, *_columns(angles)))
-
-
-def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angles (F, 3) as AngleTriple stores them, scaled to sum to pi, and
-    each face's quality."""
+    each face's quality (F,).  A sum AngleTriple would reject raises its
+    ValueError, for the first such face."""
     total = raw[:, 0] + raw[:, 1] + raw[:, 2]
+    far = ~(np.abs(total - PI) <= SUM_REPAIR_TOL)  # NaN and inf are far too
+    if far.any():
+        got = total[far.argmax()].item()
+        raise ValueError(f"triangle angles must sum to pi, got {got!r}")
     # a total of exactly pi gives a scale of exactly 1, as AngleTriple skips it
     angles = raw * (PI / total)[:, None]
-    return angles, _ratios(angles)
+    return angles, angle_ratio(*angles.T)
 
 
 def _parse_hex_color(text: str) -> tuple[int, int, int]:
@@ -494,22 +540,19 @@ class ColorMap:
         return cls(tuple(stops))
 
     def color(self, q: float) -> str:
-        qs = [s for s, _ in self.stops]
-        if q <= qs[0]:
-            rgb = self.stops[0][1]
-        elif q >= qs[-1]:
-            rgb = self.stops[-1][1]
-        else:
-            rgb = None
-            for (q0, c0), (q1, c1) in zip(self.stops, self.stops[1:]):
-                if q <= q1:
-                    t = (q - q0) / (q1 - q0)
-                    rgb = tuple(
-                        int(c0[i] + t * (c1[i] - c0[i]) + 0.5) for i in range(3)
-                    )
-                    break
-            assert rgb is not None
-        return "#{:02x}{:02x}{:02x}".format(*rgb)
+        return self.colors(np.array([q]))[0]
+
+    def colors(self, q: np.ndarray) -> list[str]:
+        """``#rrggbb`` for each quality in ``q``: linear between the two
+        stops around it, rounded half up; the end stops' colours outside."""
+        qs = np.array([s for s, _ in self.stops])
+        cs = np.array([c for _, c in self.stops], dtype=float)
+        end = np.searchsorted(qs, q).clip(1, len(qs) - 1)  # first stop >= q
+        q0, q1, c0, c1 = qs[end - 1], qs[end], cs[end - 1], cs[end]
+        t = ((q - q0) / (q1 - q0)).clip(0.0, 1.0)[:, None]
+        rgb = (c0 + t * (c1 - c0) + 0.5).astype(np.int64)  # truncated, as int() does
+        packed = rgb @ np.array([1 << 16, 1 << 8, 1])
+        return ["#%06x" % v for v in packed.tolist()]
 
 
 #: Fraction of the larger mesh dimension added around the drawing.
@@ -557,8 +600,8 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     _, q = _repaired_quality(mesh.angles)
     lines += [
         f'  <polygon points="{corner[i]} {corner[j]} {corner[k]}" '
-        f'fill="{cmap.color(qt)}" {stroke}'
-        for (i, j, k), qt in zip(mesh.triangles, q)
+        f'fill="{fill}" {stroke}'
+        for (i, j, k), fill in zip(mesh.triangles, cmap.colors(q))
     ]
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -148,9 +148,10 @@ def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nd
     return _flat(cross[:, 0], longest_sq), _mapped(math.atan2, cross, dot)
 
 
-#: Faces per block in measure_faces: small temporaries, reused block to block,
-#: keep its memory flat however many faces there are.
-_FACE_BLOCK = 4096
+#: Faces per block in the array passes (measure_faces, the report writers):
+#: small temporaries, reused block to block, keep their memory flat however
+#: many faces there are.
+FACE_BLOCK = 4096
 
 
 def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,8 +164,8 @@ def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     Raises OverflowError as ``is_collinear`` does, for the first such face.
     """
     flat, angles = np.empty(len(faces), dtype=bool), np.empty((len(faces), 3))
-    for start in range(0, len(faces), _FACE_BLOCK):
-        block = slice(start, start + _FACE_BLOCK)
+    for start in range(0, len(faces), FACE_BLOCK):
+        block = slice(start, start + FACE_BLOCK)
         flat[block], angles[block] = _measure_block(xy, faces[block])
     return flat, angles
 

@@ -22,7 +22,7 @@ from trismooth import (
     spectral_summary,
     transform,
 )
-from trismooth.angle_dynamics import THIRD_PI, averaging_matrix
+from trismooth.angle_dynamics import THIRD_PI, angle_ratio, averaging_matrix
 
 from conftest import angle_triples, random_triples
 
@@ -328,6 +328,16 @@ def test_predict_quality_equals_iterated_quality(t):
     for n in range(0, 13):
         assert abs(predict_quality(t, n).q - quality(cur).q) < 1e-12
         cur = transform(cur)
+
+
+def test_angle_ratio_returns_its_input_type():
+    # reports write repr() of these floats; a numpy scalar's repr differs
+    assert type(angle_ratio(PI / 2, PI / 3, PI / 6)) is float
+    rows = random_triples(500, seed=31)
+    columns = np.array([t.as_tuple() for t in rows]).T
+    ratios = angle_ratio(*columns)
+    assert isinstance(ratios, np.ndarray) and ratios.shape == (500,)
+    assert ratios.tolist() == [angle_ratio(*t.as_tuple()) for t in rows]
 
 
 @given(t=angle_triples())

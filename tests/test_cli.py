@@ -480,6 +480,19 @@ def test_mesh_overflow_is_numeric_error(capsys, tmp_path, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_mesh_overflow_writes_no_report(capsys, tmp_path):
+    # the writers' %r templates rely on this: json would write NaN or Infinity
+    mesh = tmp_path / "m.off"
+    mesh.write_text("OFF\n4 2 0\n0 0\n1 0\n0 1\n1e200 1e200\n3 0 1 2\n3 1 3 2\n")
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["analyze", str(mesh), "--steps", "1", "--report", str(report), "--csv", str(table)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not report.exists() and not table.exists()
+
+
 def test_render_writes_svg(capsys, tmp_path):
     mesh = tmp_path / "m.off"
     mesh.write_text(MINIMAL_OFF)

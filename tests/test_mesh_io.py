@@ -22,6 +22,7 @@ from trismooth import (
     cli,
     iterate,
     load_mesh,
+    mesh_io,
     plane_geometry,
     predict_quality,
     quality,
@@ -306,7 +307,7 @@ def test_mesh_pass_matches_scalar_path_bit_for_bit(tmp_path):
         assert polygon.get("points") == corners
 
 
-def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch):
+def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "grid.off", jittered_grid_off(8, seed=1))
     calls = Counter()
 
@@ -323,13 +324,145 @@ def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch):
     count(TrianglePoints, "__init__")
     count(plane_geometry, "angles_of")
     count(AngleTriple, "__init__")
+    count(mesh_io.TriangleRecord, "__init__")
+    count(ColorMap, "color")
     mesh = load_mesh(path)
     render_svg(mesh, tmp_path / "grid.svg")
-    assert calls == Counter()
     report = analyze(mesh, (1, 2, 4))
-    # the report's records hold one AngleTriple per face, and nothing else is built
-    assert calls == Counter({"AngleTriple.__init__": len(mesh.triangles)})
+    report.write_json(tmp_path / "r.json")
+    report.write_csv(tmp_path / "r.csv")
+    report.to_dict()
+    argv = ["analyze", str(path), "--steps", "1,2,4", "--report", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 128 + 1
+    assert calls == Counter()
+    # a record is built from the columns only when it is indexed
     assert len(report.triangles) == 128
+    assert report.triangles[5].index == 5
+    assert calls == Counter({"AngleTriple.__init__": 1, "TriangleRecord.__init__": 1})
+
+
+def reference_dict(report):
+    """QualityReport.to_dict before the column writers, from the records."""
+    return {
+        "predict_steps": list(report.predict_steps),
+        "triangles": [
+            {
+                "index": rec.index,
+                "alpha": rec.angles.alpha,
+                "beta": rec.angles.beta,
+                "gamma": rec.angles.gamma,
+                "q": rec.q,
+                "predicted": {
+                    str(s): v for s, v in zip(report.predict_steps, rec.predicted)
+                },
+            }
+            for rec in report.triangles
+        ],
+        "summary": {
+            "count": report.summary.count,
+            "min": report.summary.q_min,
+            "max": report.summary.q_max,
+            "mean": report.summary.q_mean,
+            "histogram": {
+                "bin_edges": list(report.summary.bin_edges),
+                "counts": list(report.summary.bin_counts),
+            },
+        },
+        "dropped_faces": [
+            {"face_index": d.face_index, "indices": list(d.indices)}
+            for d in report.dropped
+        ],
+    }
+
+
+def reference_write_json(report, path):
+    """QualityReport.write_json before the column writers."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(reference_dict(report), fh, indent=2)
+        fh.write("\n")
+
+
+def reference_write_csv(report, path):
+    """QualityReport.write_csv before the column writers."""
+    header = ["index", "alpha", "beta", "gamma", "q"]
+    header += [f"q_pred_{s}" for s in report.predict_steps]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec in report.triangles:
+            row = [rec.index] + [repr(v) for v in rec.angles.as_tuple() + (rec.q,)]
+            writer.writerow(row + [repr(v) for v in rec.predicted])
+
+
+def reference_lines(report):
+    """cmd_analyze's per-triangle lines before the column writers."""
+    lines = []
+    for rec in report.triangles:
+        preds = " ".join(f"q{s}={v:.6f}" for s, v in zip(report.predict_steps, rec.predicted))
+        lines.append(f"  triangle {rec.index}: q={rec.q:.6f} {preds}".rstrip())
+    return lines
+
+
+EQUILATERAL_OFF = "OFF\n3 1 0\n0 0\n1 0\n0.5 0.8660254037844386\n3 0 1 2\n"
+
+# a face dropped as collinear between two kept ones
+DROPPED_FACE_OFF = "OFF\n5 3 0\n0 0\n1 0\n2 0\n0 1\n1 1\n3 0 1 3\n3 0 1 2\n3 1 4 3\n"
+
+OBJ_TWO_FACES = "v 0 0 0\nv 1 0 0\nv 0.3 1.1 0\nv 1.4 0.9 0\nf 1 2 3\nf 2 4 3\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, steps",
+    [
+        ("grid.off", jittered_grid_off(32, seed=3), (0, 1, 2, 7)),
+        ("grid.off", jittered_grid_off(32, seed=3), ()),
+        ("dropped.off", DROPPED_FACE_OFF, (3, 0, 3)),
+        ("equilateral.off", EQUILATERAL_OFF, (1, 5)),
+        ("mesh.obj", OBJ_TWO_FACES, (0, 2)),
+    ],
+    ids=["grid-steps", "grid-no-steps", "dropped-face", "equilateral", "obj"],
+)
+def test_column_writers_match_reference_writers(tmp_path, capsys, name, text, steps):
+    path = write(tmp_path, name, text)
+    report = analyze(load_mesh(path), steps)
+    if name == "equilateral.off":
+        raw = report.raw[0].tolist()
+        assert raw[0] + raw[1] + raw[2] == PI  # the repair's scale is exactly 1
+    if name == "dropped.off":
+        assert len(report.dropped) == 1
+    for written, reference in (
+        (report.write_json, reference_write_json),
+        (report.write_csv, reference_write_csv),
+    ):
+        written(tmp_path / "new")
+        reference(report, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    assert json.dumps(report.to_dict(), indent=2) == json.dumps(reference_dict(report), indent=2)
+    argv = ["analyze", str(path)] + (["--steps", ",".join(map(str, steps))] if steps else [])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-len(report.triangles) :] == reference_lines(report)
+
+
+def test_report_sum_repair_rejects_like_angle_triple(tmp_path):
+    raw = np.array(
+        [[PI / 2, PI / 3, PI / 6 + 5e-10], [1.0, 1.0, 1.0], [1.0, math.inf, 1.0], [math.nan] * 3]
+    )
+    angles, q = mesh_io._repaired_quality(raw[:1])
+    triple = AngleTriple(*raw[0].tolist())
+    assert angles[0].tolist() == list(triple.as_tuple()) and q.tolist() == [quality(triple).q]
+    for bad in (raw, raw[[0, 2]], raw[[0, 3]]):
+        with pytest.raises(ValueError) as array_err:
+            mesh_io._repaired_quality(bad)
+        with pytest.raises(ValueError) as scalar_err:
+            AngleTriple(*bad[1].tolist())
+        assert str(array_err.value) == str(scalar_err.value)
+    mesh = load_mesh(write(tmp_path, "m.off", TWO_TRIANGLE_OFF))
+    object.__setattr__(mesh, "angles", raw[1:])
+    with pytest.raises(ValueError, match="must sum to pi"):
+        analyze(mesh)
+    with pytest.raises(ValueError, match="must sum to pi"):
+        render_svg(mesh, tmp_path / "m.svg")
 
 
 def test_analyze_empty_steps_and_errors(tmp_path):
@@ -396,6 +529,41 @@ def test_colormap_parse_and_errors():
     ):
         with pytest.raises(ValueError):
             ColorMap.parse(bad)
+
+
+def reference_color(cmap, q):
+    """ColorMap.color before the array ramp: walk the stops for one q."""
+    qs = [s for s, _ in cmap.stops]
+    if q <= qs[0]:
+        rgb = cmap.stops[0][1]
+    elif q >= qs[-1]:
+        rgb = cmap.stops[-1][1]
+    else:
+        rgb = None
+        for (q0, c0), (q1, c1) in zip(cmap.stops, cmap.stops[1:]):
+            if q <= q1:
+                t = (q - q0) / (q1 - q0)
+                rgb = tuple(int(c0[i] + t * (c1[i] - c0[i]) + 0.5) for i in range(3))
+                break
+        assert rgb is not None
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+@pytest.mark.parametrize(
+    # the last map puts q = 0.5 on a channel value of exactly 0.5, which
+    # rounds up here and to even under np.rint or np.interp's rounding
+    "spec", [None, "0:ff0000,0.5:#00ff00,1:0000ff", "0.2:000000,0.7:ffffff", "0:000000,1:010101"]
+)
+def test_array_ramp_matches_scalar_color(spec):
+    cmap = ColorMap.default() if spec is None else ColorMap.parse(spec)
+    stops = np.array([s for s, _ in cmap.stops])
+    special = [0.0, 1.0, 0.5, 0.25, -0.5, 1.5, -math.inf, math.inf, 5e-324, -5e-324]
+    special += np.nextafter(stops, -math.inf).tolist() + stops.tolist()
+    special += np.nextafter(stops, math.inf).tolist()
+    for q in special:
+        assert cmap.color(q) == reference_color(cmap, q), q
+    q = np.concatenate([special, np.random.default_rng(5).uniform(0.0, 1.0, 200_000)])
+    assert cmap.colors(q) == [reference_color(cmap, v) for v in q.tolist()]
 
 
 # --- rendering --------------------------------------------------------------------
