@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 invalid input, 3 I/O or file-format failure,
 4 numerical failure (a mesh transformation step degenerated, a float
 overflowed or memory ran out).
 
-Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document and
-the text lines.  ``main`` prints one of them; nothing else here prints
-except ``_fail``.
+Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document (or
+its JSON text) and the text lines.  ``main`` prints one of them; nothing
+else here prints except ``_fail``.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from .simple_mesh import (
     SimpleMeshAngles,
     correction_terms,
     load_mesh_angles,
-    mesh_quality,
+    mesh_steps,
     mesh_to_dict,
     optimal_mesh,
     random_mesh,
     reconstruct_geometry,
     save_mesh_angles,
-    transform_mesh,
 )
 
 EXIT_OK = 0
@@ -115,14 +114,20 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
     return items
 
 
-def _stepping(args: argparse.Namespace, state, step):
-    """Yield ``state`` and its ``--steps`` successors under ``step``, one per row."""
+def _step_count(args: argparse.Namespace) -> int:
+    """``--steps`` of ``iterate``, ``construct`` and ``simple-mesh``, checked."""
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     if args.steps > STEP_CLAMP:  # every triangle and fan is at its fixed point by then
         raise ValueError(f"--steps must be <= {STEP_CLAMP}")
+    return args.steps
+
+
+def _stepping(args: argparse.Namespace, state, step):
+    """Yield ``state`` and its ``--steps`` successors under ``step``, one per row."""
+    steps = _step_count(args)
     yield state
-    for _ in range(args.steps):
+    for _ in range(steps):
         state = step(state)
         yield state
 
@@ -267,19 +272,11 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     mesh = _simple_mesh_source(args)
     n = mesh.n_triangles
     k = correction_terms(n)
-    entries = []
-    for step, m in enumerate(_stepping(args, mesh, transform_mesh)):
-        mq = mesh_quality(m)
-        entries.append(
-            {
-                "step": step,
-                "mesh_q": mq.mesh_q,
-                "q_min": min(v.q for v in mq.per_triangle),
-                "q_max": max(v.q for v in mq.per_triangle),
-                "max_residual": m.constraint_residuals().max(),
-            }
-        )
-    final = m  # the loop yields at least the starting fan
+    rows, final = mesh_steps(mesh, _step_count(args))
+    entries = [
+        {"step": step, "mesh_q": q, "q_min": q_min, "q_max": q_max, "max_residual": r}
+        for step, (q, q_min, q_max, r) in enumerate(rows.tolist())
+    ]
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
     lines = [
@@ -345,8 +342,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     template = "  triangle %d: q=%.6f"
     template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
     lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
-    # the document is built only when printed: it is large for big meshes
-    return report.to_dict() if args.json else None, lines + written
+    # the column writer's JSON text: the same bytes as json.dumps(to_dict(), indent=2)
+    return "".join(report.json_chunks()) if args.json else None, lines + written
 
 
 def cmd_render(args: argparse.Namespace) -> Result:
@@ -461,7 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""  # a bare MemoryError has no message
         return _fail(f"out of memory{detail}", EXIT_NUMERIC)
-    output = [json.dumps(document, indent=2)] if args.json else lines
+    if args.json and not isinstance(document, str):  # a str is JSON text already
+        document = json.dumps(document, indent=2)
+    output = [document] if args.json else lines
     print(*output, sep="\n")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from .angle_dynamics import (
     after_steps,
     angle_ratio,
 )
-from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, measure_faces
+from .plane_geometry import Point2, TrianglePoints, block_rows, measure_faces
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -360,13 +360,8 @@ class QualityReport:
 
     def rows(self, template: str, sep: str, *columns: np.ndarray) -> Iterator[str]:
         """Each face's index and its entries of ``columns`` through
-        ``template``, faces joined by ``sep``: one string per block of
-        ``FACE_BLOCK`` faces, each block after the first led by ``sep``."""
-        table = np.column_stack((np.arange(len(self.q)), *columns))
-        for start in range(0, len(table), FACE_BLOCK):
-            block = table[start : start + FACE_BLOCK]
-            text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
-            yield sep + text if start else text
+        ``template``, faces joined by ``sep``, in ``block_rows`` blocks."""
+        return block_rows(template, sep, np.column_stack((np.arange(len(self.q)), *columns)))
 
     def to_dict(self) -> dict:
         keys = [str(s) for s in self.predict_steps]
@@ -398,8 +393,8 @@ class QualityReport:
             ],
         }
 
-    def write_json(self, path) -> None:
-        """``to_dict()`` as ``json.dump(indent=2)`` writes it, plus a newline."""
+    def json_chunks(self) -> Iterator[str]:
+        """``to_dict()`` as ``json.dumps(indent=2)`` writes it, in pieces."""
         around = json.dumps(self._document([]), indent=2)
         head, _, tail = around.partition('"triangles": []')
         steps = list(dict.fromkeys(self.predict_steps))  # a dict keeps one key per step
@@ -411,10 +406,15 @@ class QualityReport:
             + "}\n    }"
         )
         values = self.predicted[:, [self.predict_steps.index(s) for s in steps]]
+        yield head + '"triangles": [\n'
+        yield from self.rows(template, ",\n", self.angles, self.q, values)
+        yield "\n  ]" + tail
+
+    def write_json(self, path) -> None:
+        """``json_chunks()`` plus a newline, as ``json.dump(indent=2)`` would."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head + '"triangles": [\n')
-            fh.writelines(self.rows(template, ",\n", self.angles, self.q, values))
-            fh.write("\n  ]" + tail + "\n")
+            fh.writelines(self.json_chunks())
+            fh.write("\n")
 
     def write_csv(self, path) -> None:
         """One row per face, as ``csv.writer`` writes it: no field needs quotes."""

@@ -12,6 +12,7 @@ needed to keep element areas under control.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,16 @@ def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nd
 #: small temporaries, reused block to block, keep their memory flat however
 #: many faces there are.
 FACE_BLOCK = 4096
+
+
+def block_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
+    """``table``'s rows through the ``%`` ``template``, joined by ``sep``: one
+    string per ``FACE_BLOCK`` rows, each block after the first led by ``sep``.
+    For finite floats ``%r`` is the text ``json`` and ``csv`` write."""
+    for start in range(0, len(table), FACE_BLOCK):
+        block = table[start : start + FACE_BLOCK]
+        text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield sep + text if start else text
 
 
 def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

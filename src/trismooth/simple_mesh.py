@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .angle_dynamics import PI, AngleTriple, QualityValue, after_steps, angle_ratio
-from .plane_geometry import Point2, TrianglePoints, angles_of
+from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, angles_of, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
+
+_NAMES = ("alpha", "beta", "gamma")
 
 #: random_mesh: Dirichlet concentration, angle floor, and draws before failing.
 RANDOM_CONCENTRATION = 8.0
@@ -75,45 +77,43 @@ class SimpleMeshAngles:
     Invariants, enforced on construction within ``CONSTRAINT_TOL``:
     every triangle's angles sum to pi, the apex angles sum to 2 pi, the
     beta angles sum to (N - 2) pi / 2, and every angle is strictly
-    positive.
+    positive.  ``angles`` is the same fan as one read-only (3, N) array,
+    rows alpha, beta, gamma; the tuples hold Python floats.
     """
 
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     gamma: tuple[float, ...]
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
     _residuals: ConstraintResiduals = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        object.__setattr__(self, "gamma", tuple(self.gamma))
-        n = len(self.alpha)
+        rows = tuple(map(tuple, (self.alpha, self.beta, self.gamma)))
+        n = len(rows[0])
         if n < 3:
             raise MeshConstraintError(
                 f"fan mesh needs at least 3 triangles, got {n}"
             )
-        if len(self.beta) != n or len(self.gamma) != n:
+        if len(rows[1]) != n or len(rows[2]) != n:
             raise MeshConstraintError("angle lists must have equal length")
-        for i in range(n):
-            for name in ("alpha", "beta", "gamma"):
-                v = getattr(self, name)[i]
-                if not (math.isfinite(v) and v > 0.0):
-                    raise MeshConstraintError(
-                        f"triangle {i}: {name} = {v!r} is not positive"
-                    )
-        a, b, g = self.alpha, self.beta, self.gamma
-        res = ConstraintResiduals(
-            max(abs(a[i] + b[i] + g[i] - PI) for i in range(n)),
-            abs(math.fsum(a) - 2.0 * PI),
-            abs(math.fsum(b) - (n - 2) * PI / 2.0),
-        )
-        object.__setattr__(self, "_residuals", res)
-        if res.max() > CONSTRAINT_TOL:
-            raise MeshConstraintError(
-                "constraint equations violated: worst residuals "
-                f"triangle_sum={res.triangle_sum:.3e} "
-                f"apex_sum={res.apex_sum:.3e} base_sum={res.base_sum:.3e}"
-            )
+        x = np.array(rows)
+        if x.dtype.kind not in "biuf":
+            raise MeshConstraintError("angles must be numbers")
+        x = x.astype(float)
+        self._hold(x, _checked(x[None])[0])
+
+    @classmethod
+    def _from_checked(cls, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
+        """The fan of (3, N) array ``x``, which ``_checked`` has passed."""
+        m = cls.__new__(cls)
+        m._hold(x, residuals)
+        return m
+
+    def _hold(self, x: np.ndarray, residuals: np.ndarray) -> None:
+        x.flags.writeable = False
+        values = (*map(tuple, x.tolist()), x, ConstraintResiduals(*residuals.tolist()))
+        for name, value in zip((*_NAMES, "angles", "_residuals"), values):
+            object.__setattr__(self, name, value)
 
     @property
     def n_triangles(self) -> int:
@@ -127,12 +127,61 @@ class SimpleMeshAngles:
         return self._residuals
 
 
-@dataclass(frozen=True)
-class MeshQuality:
-    """Per-triangle qualities and their min/max ratio."""
+def _residuals(x: np.ndarray) -> np.ndarray:
+    """Triangle-, apex- and base-sum residuals (B, 3) of (B, 3, N) fans."""
+    n = x.shape[-1]
+    return np.column_stack(
+        (
+            np.abs(x[:, 0] + x[:, 1] + x[:, 2] - PI).max(axis=1),
+            [abs(math.fsum(a) - 2.0 * PI) for a in x[:, 0].tolist()],
+            [abs(math.fsum(b) - (n - 2) * PI / 2.0) for b in x[:, 1].tolist()],
+        )
+    )
 
-    per_triangle: tuple[QualityValue, ...]
+
+def _checked(x: np.ndarray, transformed: bool = False) -> np.ndarray:
+    """Check (B, 3, N) fans in order and return their (B, 3) residuals.
+
+    The first fan that fails raises: with ``transformed``, a non-positive
+    angle as DegenerateMeshError; then a non-finite or non-positive angle,
+    or a residual above ``CONSTRAINT_TOL``, as MeshConstraintError.
+    Triangles are searched in order, and alpha, beta, gamma within each.
+    """
+    ok = np.isfinite(x) & (x > 0.0)
+    fails = ~ok.all(axis=(1, 2))
+    first = int(fails.argmax()) if fails.any() else len(x)
+    res = _residuals(x[:first])  # finite, positive fans only
+    over = res.max(axis=1) > CONSTRAINT_TOL
+    if over.any():
+        tri, apex, base = res[over.argmax()]
+        raise MeshConstraintError(
+            "constraint equations violated: worst residuals "
+            f"triangle_sum={tri:.3e} apex_sum={apex:.3e} base_sum={base:.3e}"
+        )
+    if first < len(x):
+        fan, bad = x[first].T, ~ok[first].T  # (N, 3): triangle-major
+        if transformed and (fan <= 0.0).any():
+            i, j = divmod(int((fan <= 0.0).argmax()), 3)
+            raise DegenerateMeshError(
+                f"triangle {i}: transformed {_NAMES[j]} = {fan[i, j]:.6g} <= 0"
+            )
+        i, j = divmod(int(bad.argmax()), 3)
+        raise MeshConstraintError(
+            f"triangle {i}: {_NAMES[j]} = {fan[i, j].item()!r} is not positive"
+        )
+    return res
+
+
+@dataclass(frozen=True, eq=False)
+class MeshQuality:
+    """Per-triangle min/max angle ratios (N,) and their min/max ratio."""
+
+    ratios: np.ndarray
     mesh_q: float
+
+    @property
+    def per_triangle(self) -> tuple[QualityValue, ...]:
+        return tuple(map(QualityValue, self.ratios.tolist()))
 
 
 @dataclass(frozen=True)
@@ -184,6 +233,22 @@ class SimpleMeshGeometry:
         return math.fsum(t.area() for t in self.triangles())
 
 
+def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One corrected step of a (3, N) fan: ``0.5 * [b+g, a+g, a+b] + k``.
+
+    ``k`` is the (3, 1) column of :func:`correction_terms`.  Each angle
+    gets the scalar expression's operations in its order, so its bits.
+    """
+    out = np.add(x[[1, 0, 0]], x[[2, 2, 1]], out=out)
+    out *= 0.5
+    out += k
+    return out
+
+
+def _k_column(n: int) -> np.ndarray:
+    return np.array(astuple(correction_terms(n)))[:, None]
+
+
 def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     """One corrected transformation step on every triangle of the fan.
 
@@ -192,23 +257,43 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     fails loudly if any output angle is non-positive -- clamping would
     silently break the constraint identities.
     """
-    k = correction_terms(m.n_triangles)
-    new_a: list[float] = []
-    new_b: list[float] = []
-    new_g: list[float] = []
-    for i in range(m.n_triangles):
-        a = 0.5 * (m.beta[i] + m.gamma[i]) + k.k_alpha
-        b = 0.5 * (m.alpha[i] + m.gamma[i]) + k.k_beta
-        g = 0.5 * (m.alpha[i] + m.beta[i]) + k.k_gamma
-        for name, v in (("alpha", a), ("beta", b), ("gamma", g)):
-            if v <= 0.0:
-                raise DegenerateMeshError(
-                    f"triangle {i}: transformed {name} = {v:.6g} <= 0"
-                )
-        new_a.append(a)
-        new_b.append(b)
-        new_g.append(g)
-    return SimpleMeshAngles(tuple(new_a), tuple(new_b), tuple(new_g))
+    x = fan_step(m.angles, _k_column(m.n_triangles))
+    return SimpleMeshAngles._from_checked(x, _checked(x[None], transformed=True)[0])
+
+
+def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshAngles]:
+    """Rows (mesh_q, q_min, q_max, max_residual) for ``m`` and each of its
+    ``steps`` successors, and the last fan.
+
+    The successors are the :func:`transform_mesh` states, made by
+    :func:`fan_step` ``max(1, FACE_BLOCK // N)`` steps at a time into one
+    (B, 3, N) block; each block is checked, as transform_mesh checks,
+    and measured in one pass.  Only the last fan becomes an object.
+    """
+    if steps < 0:
+        raise ValueError("step count must be >= 0")
+    n = m.n_triangles
+    k, block = _k_column(n), max(1, FACE_BLOCK // n)
+    rows = np.empty((steps + 1, 4))
+    rows[0] = _quality_rows(m.angles[None], [m.constraint_residuals().max()])
+    buf = np.empty((min(block, steps), 3, n))
+    fan = m.angles
+    for start in range(1, steps + 1, block):
+        x = buf[: min(block, steps + 1 - start)]
+        for out in x:
+            fan = fan_step(fan, k, out=out)
+        res = _checked(x, transformed=True)
+        rows[start : start + len(x)] = _quality_rows(x, res.max(axis=1))
+    if not steps:
+        return rows, m
+    return rows, SimpleMeshAngles._from_checked(fan.copy(), res[-1])
+
+
+def _quality_rows(x: np.ndarray, worst) -> np.ndarray:
+    """(B, 4) rows of mesh_q, q_min, q_max and ``worst`` for (B, 3, N) fans."""
+    r = angle_ratio(x[:, 0], x[:, 1], x[:, 2])
+    q_min, q_max = r.min(axis=1), r.max(axis=1)
+    return np.column_stack((q_min / q_max, q_min, q_max, worst))
 
 
 def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
@@ -223,17 +308,14 @@ def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
     if steps == 0:
         return m
     transform_mesh(m)  # raises DegenerateMeshError if step 1 degenerates
-    opt = optimal_mesh(m.n_triangles)
-    x = np.array([m.alpha, m.beta, m.gamma])
-    fixed = np.array([opt.alpha, opt.beta, opt.gamma])
-    return SimpleMeshAngles(*after_steps(x, fixed, steps).tolist())
+    fixed = optimal_mesh(m.n_triangles).angles
+    return SimpleMeshAngles(*after_steps(m.angles, fixed, steps).tolist())
 
 
 def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
     """Per-triangle min/max angle ratios and their min/max ratio in turn."""
-    ratios = [angle_ratio(*abg) for abg in zip(m.alpha, m.beta, m.gamma)]
-    qs = tuple(map(QualityValue, ratios))
-    return MeshQuality(qs, min(ratios) / max(ratios))
+    r = angle_ratio(*m.angles)
+    return MeshQuality(r, (r.min() / r.max()).item())
 
 
 def optimal_quality(n: int) -> float:
@@ -270,23 +352,19 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     if n < 3:
         raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
     conc = np.full(n, RANDOM_CONCENTRATION)
+    k = _k_column(n)
     for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)
         alpha *= 2.0 * PI / alpha.sum()
         beta = rng.dirichlet(conc) * ((n - 2) * PI / 2.0)
         beta *= (n - 2) * PI / 2.0 / beta.sum()
-        gamma = PI - alpha - beta
-        if min(alpha.min(), beta.min(), gamma.min()) <= RANDOM_MIN_ANGLE:
+        x = np.stack((alpha, beta, PI - alpha - beta))
+        if x.min() <= RANDOM_MIN_ANGLE:
             continue
-        mesh = SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
-        try:
-            nxt = transform_mesh(mesh)
-        except DegenerateMeshError:
+        residuals = _checked(x[None])[0]
+        if fan_step(x, k).min() <= RANDOM_MIN_ANGLE:
             continue
-        lo = min(min(nxt.alpha), min(nxt.beta), min(nxt.gamma))
-        if lo <= RANDOM_MIN_ANGLE:
-            continue
-        return mesh
+        return SimpleMeshAngles._from_checked(x, residuals)
     raise DegenerateMeshError(
         f"no valid random {n}-fan found in {RANDOM_MAX_TRIES} draws"
     )
@@ -379,6 +457,9 @@ def load_mesh_angles(path) -> SimpleMeshAngles:
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:
+    """``mesh_to_dict(m)`` as ``json.dump(indent=2)`` writes it, plus a newline."""
+    row = '    {\n      "alpha": %r,\n      "beta": %r,\n      "gamma": %r\n    }'
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(mesh_to_dict(m), fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "N": %d,\n  "triangles": [\n' % m.n_triangles)
+        fh.writelines(block_rows(row, ",\n", m.angles.T))
+        fh.write("\n  ]\n}\n")

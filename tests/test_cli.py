@@ -388,6 +388,20 @@ def test_simple_mesh_keeps_no_trajectory(capsys):
     assert peak < 2 * 2**20
 
 
+def test_simple_mesh_steps_large_fans_in_bounded_blocks(capsys):
+    # 1100 steps of 500 triangles run in 8-step (3, 500) blocks; kept, the
+    # states would take about 13 MiB even as arrays
+    tracemalloc.start()
+    try:
+        code = cli.main(["simple-mesh", "--n", "500", "--optimal", "--steps", "1100"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 1102 + 1
+    assert peak < 2 * 2**20
+
+
 # --- step limit of iterate, construct and simple-mesh -------------------------------
 
 STEPPING = {

@@ -417,11 +417,12 @@ OBJ_TWO_FACES = "v 0 0 0\nv 1 0 0\nv 0.3 1.1 0\nv 1.4 0.9 0\nf 1 2 3\nf 2 4 3\n"
     [
         ("grid.off", jittered_grid_off(32, seed=3), (0, 1, 2, 7)),
         ("grid.off", jittered_grid_off(32, seed=3), ()),
+        ("grid.off", jittered_grid_off(48, seed=5), (1, 2)),  # two FACE_BLOCKs
         ("dropped.off", DROPPED_FACE_OFF, (3, 0, 3)),
         ("equilateral.off", EQUILATERAL_OFF, (1, 5)),
         ("mesh.obj", OBJ_TWO_FACES, (0, 2)),
     ],
-    ids=["grid-steps", "grid-no-steps", "dropped-face", "equilateral", "obj"],
+    ids=["grid-steps", "grid-no-steps", "grid-two-blocks", "dropped-face", "equilateral", "obj"],
 )
 def test_column_writers_match_reference_writers(tmp_path, capsys, name, text, steps):
     path = write(tmp_path, name, text)
@@ -442,6 +443,8 @@ def test_column_writers_match_reference_writers(tmp_path, capsys, name, text, st
     argv = ["analyze", str(path)] + (["--steps", ",".join(map(str, steps))] if steps else [])
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-len(report.triangles) :] == reference_lines(report)
+    assert cli.main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(reference_dict(report), indent=2) + "\n"
 
 
 def test_report_sum_repair_rejects_like_angle_triple(tmp_path):

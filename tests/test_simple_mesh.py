@@ -3,11 +3,13 @@
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from trismooth import (
+    AngleTriple,
     DegenerateMeshError,
     MeshConstraintError,
     Point2,
@@ -19,13 +21,16 @@ from trismooth import (
     mesh_quality,
     optimal_mesh,
     optimal_quality,
+    QualityValue,
     random_mesh,
     reconstruct_geometry,
     save_mesh_angles,
     transform,
     transform_mesh,
 )
-from trismooth.simple_mesh import mesh_from_dict, mesh_to_dict
+from trismooth import cli, simple_mesh
+from trismooth.plane_geometry import FACE_BLOCK
+from trismooth.simple_mesh import mesh_from_dict, mesh_steps, mesh_to_dict
 
 from conftest import closing_mesh
 
@@ -40,6 +45,50 @@ def adversarial_mesh_n12():
     beta = [(PI - a) / 2 for a in alpha]
     gamma = [(PI - a) / 2 for a in alpha]
     return SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
+
+
+# --- scalar reference code: the per-triangle fan path before the (3, N) array ---
+
+def reference_transform_mesh(m):
+    """transform_mesh as a per-triangle loop over the angle tuples."""
+    k = correction_terms(m.n_triangles)
+    new_a, new_b, new_g = [], [], []
+    for i in range(m.n_triangles):
+        a = 0.5 * (m.beta[i] + m.gamma[i]) + k.k_alpha
+        b = 0.5 * (m.alpha[i] + m.gamma[i]) + k.k_beta
+        g = 0.5 * (m.alpha[i] + m.beta[i]) + k.k_gamma
+        for name, v in (("alpha", a), ("beta", b), ("gamma", g)):
+            if v <= 0.0:
+                raise DegenerateMeshError(
+                    f"triangle {i}: transformed {name} = {v:.6g} <= 0"
+                )
+        new_a.append(a)
+        new_b.append(b)
+        new_g.append(g)
+    return tuple(new_a), tuple(new_b), tuple(new_g)
+
+
+def reference_residual(a, b, g):
+    """The constructor's worst constraint residual, one triangle at a time."""
+    n = len(a)
+    return max(
+        max(abs(a[i] + b[i] + g[i] - PI) for i in range(n)),
+        abs(math.fsum(a) - 2.0 * PI),
+        abs(math.fsum(b) - (n - 2) * PI / 2.0),
+    )
+
+
+def reference_row(a, b, g):
+    """(mesh_q, q_min, q_max, max_residual) as the per-triangle path made them."""
+    ratios = [min(abg) / max(abg) for abg in zip(a, b, g)]
+    return [min(ratios) / max(ratios), min(ratios), max(ratios), reference_residual(a, b, g)]
+
+
+def reference_save_mesh_angles(m, path):
+    """save_mesh_angles through json.dump, before the %r row template."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(mesh_to_dict(m), fh, indent=2)
+        fh.write("\n")
 
 
 # --- correction terms ---------------------------------------------------------
@@ -203,6 +252,104 @@ def test_two_step_contraction_random_meshes():
                 assert abs(cur.alpha[i] - target) == pytest.approx(
                     expect, rel=1e-10, abs=1e-13
                 )
+
+
+# --- array stepping against the scalar reference ---------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 40, 500])
+@pytest.mark.parametrize("start", ["random", "optimal"])
+def test_mesh_steps_match_scalar_reference(n, start):
+    block = FACE_BLOCK // n
+    wanted = sorted({0, 1, block - 1, block, block + 1, 1100})
+    m = random_mesh(n, n) if start == "random" else optimal_mesh(n)
+    state, rows, finals = (m.alpha, m.beta, m.gamma), [], {}
+    for step in range(wanted[-1] + 1):
+        if step:
+            state = reference_transform_mesh(SimpleMeshAngles(*state))
+        rows.append(reference_row(*state))
+        if step in wanted:
+            finals[step] = state
+    for steps in wanted:
+        got, final = mesh_steps(m, steps)
+        assert got.tolist() == rows[: steps + 1]
+        assert (final.alpha, final.beta, final.gamma) == finals[steps]
+        assert final.constraint_residuals().max() == rows[steps][3]
+    one = transform_mesh(m)
+    assert (one.alpha, one.beta, one.gamma) == finals[1]
+    assert one.constraint_residuals().max() == rows[1][3]
+    assert mesh_quality(one).mesh_q == rows[1][0]
+
+
+def test_mesh_steps_raise_for_the_first_failing_step(monkeypatch):
+    m = optimal_mesh(5)
+    fans = [m.angles.copy() for _ in range(4)]
+    fans[2][1, 3] = -0.25  # step 3: a degenerate beta in triangle 3
+    fans[3][0, 0] = float("nan")
+
+    def replay(x, k, out=None):
+        out[...] = fans.pop(0)
+        return out
+
+    monkeypatch.setattr(simple_mesh, "fan_step", replay)
+    with pytest.raises(DegenerateMeshError, match="^triangle 3: transformed beta = -0.25 <= 0$"):
+        mesh_steps(m, 4)
+    fans[:] = [m.angles.copy() for _ in range(3)]
+    fans[1][2, 4] += 1e-6  # step 2 breaks triangle 4's sum before step 3's NaN
+    fans[2][0, 0] = float("nan")
+    with pytest.raises(MeshConstraintError, match="triangle_sum=1.000e-06"):
+        mesh_steps(m, 3)
+    fans[:] = [m.angles.copy()]
+    fans[0][2, 1] = float("inf")
+    with pytest.raises(MeshConstraintError, match="^triangle 1: gamma = inf is not positive$"):
+        mesh_steps(m, 1)
+
+
+def test_simple_mesh_builds_two_fans_and_no_per_triangle_objects(monkeypatch, capsys):
+    made = Counter()
+    # every SimpleMeshAngles, checked by its constructor or not, is set up by _hold
+    for cls, name in ((SimpleMeshAngles, "_hold"), (QualityValue, "__init__"), (AngleTriple, "__init__")):
+        def counted(*args, _inner=getattr(cls, name), _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    argv = ["simple-mesh", "--n", "40", "--random", "1", "--steps", "200"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 202 + 1
+    assert made["SimpleMeshAngles"] <= 2
+    assert made["QualityValue"] == made["AngleTriple"] == 0
+    assert mesh_quality(optimal_mesh(4)).per_triangle[0].q == 0.5  # built when read
+    assert made["QualityValue"] == 4
+
+
+def test_every_fan_constructor_holds_python_floats(tmp_path):
+    m = random_mesh(5, 1)
+    save_mesh_angles(m, tmp_path / "m.json")
+    fans = [
+        optimal_mesh(5),
+        m,
+        transform_mesh(m),
+        iterate_mesh(m, 3),
+        mesh_steps(m, 3)[1],
+        mesh_from_dict(mesh_to_dict(m)),
+        load_mesh_angles(tmp_path / "m.json"),
+        SimpleMeshAngles(*np.array([m.alpha, m.beta, m.gamma])),
+    ]
+    for fan in fans:
+        for name in ("alpha", "beta", "gamma"):
+            assert {type(v) for v in getattr(fan, name)} == {float}
+    assert "float64" not in repr(m)
+    assert eval(repr(m), {"SimpleMeshAngles": SimpleMeshAngles}) == m
+    assert not m.angles.flags.writeable
+
+
+@pytest.mark.parametrize("n", [3, 5, 40, 500, 5000])
+def test_save_mesh_angles_matches_json_dump(tmp_path, n):
+    start = random_mesh(n, n) if n <= 500 else optimal_mesh(n)  # 5000: two blocks
+    for m in (start, transform_mesh(start)):
+        save_mesh_angles(m, tmp_path / "new.json")
+        reference_save_mesh_angles(m, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 # --- quality --------------------------------------------------------------------
