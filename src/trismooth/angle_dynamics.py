@@ -35,9 +35,6 @@ CLOSED_FORM_CAP = 500
 #: is already 0 there, and a huge int must never be turned into a float.
 STEP_CLAMP = 1100
 
-#: Sorted angles closer than this make two triples similar.
-SIMILARITY_TOL = 1e-12
-
 
 class DegenerateTriangleError(ValueError):
     """The operation requires a non-degenerate triangle."""
@@ -84,13 +81,6 @@ class AngleTriple:
         hi = max(self.alpha, self.beta, self.gamma)
         return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
 
-    def is_similar(self, other: "AngleTriple") -> bool:
-        """Same similarity class: sorted angles agree within ``SIMILARITY_TOL``."""
-        return all(
-            abs(x - y) <= SIMILARITY_TOL
-            for x, y in zip(self.sorted_desc(), other.sorted_desc())
-        )
-
 
 EQUILATERAL = AngleTriple(THIRD_PI, THIRD_PI, THIRD_PI)
 
@@ -124,14 +114,6 @@ class CoefficientSequence:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Eigenvalues of the averaging matrix and the limit triple."""
-
-    eigenvalues: tuple[float, float, float]
-    limit_triple: AngleTriple
 
 
 def averaging_matrix() -> np.ndarray:
@@ -305,8 +287,3 @@ def convergence_rate_check(t: AngleTriple, k: int) -> float:
     if num < sys.float_info.min:
         raise ValueError(f"deviation underflows at k = {k}")
     return num / den
-
-
-def spectral_summary() -> SpectralSummary:
-    """Exact eigenvalues of the averaging matrix (ascending); the limit triple."""
-    return SpectralSummary((-0.5, -0.5, 1.0), EQUILATERAL)

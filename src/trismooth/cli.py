@@ -3,7 +3,7 @@
 Subcommands: iterate, predict, construct, simple-mesh, analyze, render.
 Exit codes: 0 success, 2 invalid input, 3 I/O or file-format failure,
 4 numerical failure (a mesh transformation step degenerated, a float
-overflowed or memory ran out).
+overflowed or underflowed, or memory ran out).
 
 Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document (or
 its JSON text) and the text lines.  ``main`` prints one of them; nothing
@@ -342,7 +342,7 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     template = "  triangle %d: q=%.6f"
     template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
     lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
-    # the column writer's JSON text: the same bytes as json.dumps(to_dict(), indent=2)
+    # the column writer's JSON text, as json.dumps(indent=2) would write the report
     return "".join(report.json_chunks()) if args.json else None, lines + written
 
 
@@ -449,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args)
             args = parser.parse_args(argv)
         document, lines = args.func(args)
-    except (MeshFormatError, json.JSONDecodeError, OSError) as exc:
+    except (MeshFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return _fail(exc, EXIT_IO)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)

@@ -363,20 +363,11 @@ class QualityReport:
         ``template``, faces joined by ``sep``, in ``block_rows`` blocks."""
         return block_rows(template, sep, np.column_stack((np.arange(len(self.q)), *columns)))
 
-    def to_dict(self) -> dict:
-        keys = [str(s) for s in self.predict_steps]
-        rows = zip(self.angles.tolist(), self.q.tolist(), self.predicted.tolist())
-        triangles = [
-            {"index": t, "alpha": a, "beta": b, "gamma": g, "q": q,
-             "predicted": dict(zip(keys, p))}
-            for t, ((a, b, g), q, p) in enumerate(rows)
-        ]
-        return self._document(triangles)
-
-    def _document(self, triangles: list) -> dict:
-        return {
+    def json_chunks(self) -> Iterator[str]:
+        """The report as ``json.dumps(indent=2)`` writes it, in pieces."""
+        document = {
             "predict_steps": list(self.predict_steps),
-            "triangles": triangles,
+            "triangles": [],
             "summary": {
                 "count": self.summary.count,
                 "min": self.summary.q_min,
@@ -392,11 +383,7 @@ class QualityReport:
                 for d in self.dropped
             ],
         }
-
-    def json_chunks(self) -> Iterator[str]:
-        """``to_dict()`` as ``json.dumps(indent=2)`` writes it, in pieces."""
-        around = json.dumps(self._document([]), indent=2)
-        head, _, tail = around.partition('"triangles": []')
+        head, _, tail = json.dumps(document, indent=2).partition('"triangles": []')
         steps = list(dict.fromkeys(self.predict_steps))  # a dict keeps one key per step
         predicted = ",".join(f'\n        "{s}": %r' for s in steps)
         template = (
@@ -503,7 +490,7 @@ class ColorMap:
         qs = [q for q, _ in stops]
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValueError(f"colormap stops must be strictly increasing: {qs}")
-        if qs[0] < 0.0 or qs[-1] > 1.0:
+        if not all(0.0 <= q <= 1.0 for q in qs):  # false for NaN as well
             raise ValueError(f"colormap stops must lie in [0, 1]: {qs}")
         for _, rgb in stops:
             if len(rgb) != 3 or any(

@@ -12,6 +12,7 @@ needed to keep element areas under control.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -82,19 +83,32 @@ class TrianglePoints:
         return Point2((A.x + B.x + C.x) / 3.0, (A.y + B.y + C.y) / 3.0)
 
     def is_collinear(self) -> bool:
-        """Area small against the squared longest edge; OverflowError when
-        that square overflows, since the test then decides nothing."""
-        longest_sq = max(e * e for e in self.edge_lengths())
-        if longest_sq == math.inf:
-            raise OverflowError(
-                f"squared edge length overflows for vertices {self.vertices()}"
-            )
+        """Area small against the squared longest edge; an ArithmeticError
+        when that square leaves the float range (see ``_out_of_range``)."""
+        longest = max(self.edge_lengths())
+        longest_sq = longest * longest
+        if _out_of_range(longest_sq, longest):
+            raise _range_error(longest_sq, self.vertices())
         return _flat(self.doubled_signed_area(), longest_sq)
 
 
 def _flat(twice_area, longest_sq):
     """The collinearity test, for one triangle's floats or arrays of faces."""
     return abs(twice_area) <= COLLINEAR_REL_EPS * longest_sq
+
+
+def _out_of_range(longest_sq, longest):
+    """Where a squared longest edge is inf, or below ``sys.float_info.min``
+    from a nonzero edge: there the collinearity test and the angles decide
+    nothing.  Coincident vertices (longest edge 0) stay in range, and
+    collinear.  One triangle's floats or arrays of faces."""
+    return (longest_sq == math.inf) | ((longest_sq < sys.float_info.min) & (longest > 0.0))
+
+
+def _range_error(longest_sq: float, corners) -> ArithmeticError:
+    if longest_sq == math.inf:
+        return OverflowError(f"squared edge length overflows for vertices {corners}")
+    return ArithmeticError(f"squared edge length underflows for vertices {corners}")
 
 
 @dataclass(frozen=True)
@@ -133,19 +147,19 @@ def _mapped(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y = xy[faces, 0], xy[faces, 1]
-    # as Python floats do, overflow quietly: the inf test below reports it
+    # as Python floats do, overflow quietly: the range test below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         # at each corner, u runs to the next corner and v to the one after,
         # as in _vertex_angle; u is also the edge AB, BC or CA
         ux, uy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
         vx, vy = np.roll(x, -2, axis=1) - x, np.roll(y, -2, axis=1) - y
         cross, dot = np.abs(ux * vy - uy * vx), ux * vx + uy * vy
-        edges = _mapped(math.hypot, ux, uy)
-        longest_sq = (edges * edges).max(axis=1)
-    overflow = np.flatnonzero(longest_sq == math.inf)
-    if overflow.size:
-        corners = tuple(Point2(*p) for p in xy[faces[overflow[0]]].tolist())
-        raise OverflowError(f"squared edge length overflows for vertices {corners}")
+        longest = _mapped(math.hypot, ux, uy).max(axis=1)
+        longest_sq = longest * longest
+    out = np.flatnonzero(_out_of_range(longest_sq, longest))
+    if out.size:
+        corners = tuple(Point2(*p) for p in xy[faces[out[0]]].tolist())
+        raise _range_error(longest_sq[out[0]], corners)
     return _flat(cross[:, 0], longest_sq), _mapped(math.atan2, cross, dot)
 
 
@@ -172,7 +186,7 @@ def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     row.  This is ``is_collinear`` and ``angles_of`` over arrays, with their
     expressions in their order, so each face gets the scalar path's bits.
     The angles are alpha, beta, gamma before AngleTriple's sum repair.
-    Raises OverflowError as ``is_collinear`` does, for the first such face.
+    Raises as ``is_collinear`` does, for the first face out of float range.
     """
     flat, angles = np.empty(len(faces), dtype=bool), np.empty((len(faces), 3))
     for start in range(0, len(faces), FACE_BLOCK):
@@ -302,7 +316,6 @@ def rescale_to_area(tri: TrianglePoints, target_area: float) -> TrianglePoints:
 class GrowthStepRecord:
     """One construction step: measured edge ratios vs. the growth factor."""
 
-    step: int
     edge_ratios: tuple[float, float, float]
     product_ratio: float
     factor: float
@@ -310,33 +323,9 @@ class GrowthStepRecord:
 
 
 @dataclass(frozen=True)
-class ThreeStepRecord:
-    """Cumulative growth over 3n steps against candidate factor products.
-
-    Logs are reported instead of raw products so long runs cannot
-    overflow.  ``log_stated`` is the as-published reading
-    prod_{j=0..n} f_j, ``log_block`` evaluates one factor per 3-step
-    block at the block start, and ``log_per_step`` is
-    prod_{j=0..3n-1} f_j (which tracks the edge-length triple product,
-    not a single edge).  Mismatches are reported, never hidden.
-    """
-
-    blocks: int
-    log_edge_ratios: tuple[float, float, float]
-    log_product_ratio: float
-    log_stated: float
-    log_block: float
-    log_per_step: float
-    edges_match_stated: tuple[bool, bool, bool]
-    edges_match_block: tuple[bool, bool, bool]
-    product_matches_per_step: bool
-
-
-@dataclass(frozen=True)
 class GrowthReport:
     records: tuple[GrowthStepRecord, ...]
     log_cumulative: tuple[float, ...]
-    three_step: tuple[ThreeStepRecord, ...]
     rtol: float
 
 
@@ -348,9 +337,15 @@ def edge_product_growth_check(
     Runs ``steps`` coordinate-level constructions, measuring at each
     step j the per-edge ratios and the triple-product ratio
     (a'b'c')/(abc), which must equal the growth factor f_j computed from
-    the angles at step j.  Cumulative products over every window of 3n
-    steps are then compared, in log space, against the candidate
-    readings of the cumulative growth law (see ThreeStepRecord).
+    the angles at step j.  ``log_cumulative[j]`` is the log of the
+    triple-product growth over steps 0..j, the sum of log f_k for k <= j.
+
+    Erratum to the published growth law: over 3n steps a single edge does
+    not grow by prod_{j=0..n} f_j.  The equilateral triangle's edges grow
+    by prod_{k<n} f_{3k} = 8^n, one factor per three-step block, where the
+    published product gives 8^(n+1).  What holds for every triangle is
+    that prod_{j<3n} f_j, which ``log_cumulative`` accumulates, is the
+    growth of the edge-length triple product.
 
     The working triangle is rescaled to unit area after every step, with
     the true growth accumulated in log space, so arbitrarily long runs
@@ -368,19 +363,16 @@ def edge_product_growth_check(
     Returns
     -------
     GrowthReport
-        Per-step records, cumulative log growth, and 3n-step comparisons.
+        Per-step records and cumulative log growth.
     """
     if steps < 1:
         raise ValueError("growth check requires steps >= 1")
     cur = rescale_to_area(tri, 1.0)
-    factors: list[float] = []
     records: list[GrowthStepRecord] = []
     log_cum: list[float] = []
-    edge_log_cum: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
     total = 0.0
-    for j in range(steps):
+    for _ in range(steps):
         f_j = growth_factor(angles_of(cur)).f
-        factors.append(f_j)
         new = construct_transformed(cur)
         old_edges = cur.edge_lengths()
         new_edges = new.edge_lengths()
@@ -388,7 +380,6 @@ def edge_product_growth_check(
         product_ratio = ratios[0] * ratios[1] * ratios[2]
         records.append(
             GrowthStepRecord(
-                step=j,
                 edge_ratios=ratios,
                 product_ratio=product_ratio,
                 factor=f_j,
@@ -399,42 +390,9 @@ def edge_product_growth_check(
         )
         total += math.log(product_ratio)
         log_cum.append(total)
-        prev = edge_log_cum[-1]
-        edge_log_cum.append(
-            tuple(prev[i] + math.log(ratios[i]) for i in range(3))
-        )
         cur = rescale_to_area(new, 1.0)
-
-    three_step: list[ThreeStepRecord] = []
-    for blocks in range(1, steps // 3 + 1):
-        m = 3 * blocks
-        log_edges = edge_log_cum[m]
-        log_stated = math.fsum(math.log(f) for f in factors[: blocks + 1])
-        log_block = math.fsum(
-            math.log(factors[3 * k]) for k in range(blocks)
-        )
-        log_per_step = math.fsum(math.log(f) for f in factors[:m])
-        three_step.append(
-            ThreeStepRecord(
-                blocks=blocks,
-                log_edge_ratios=log_edges,
-                log_product_ratio=log_cum[m - 1],
-                log_stated=log_stated,
-                log_block=log_block,
-                log_per_step=log_per_step,
-                edges_match_stated=tuple(
-                    abs(log_edges[i] - log_stated) <= rtol for i in range(3)
-                ),
-                edges_match_block=tuple(
-                    abs(log_edges[i] - log_block) <= rtol for i in range(3)
-                ),
-                product_matches_per_step=abs(log_cum[m - 1] - log_per_step)
-                <= rtol,
-            )
-        )
     return GrowthReport(
         records=tuple(records),
         log_cumulative=tuple(log_cum),
-        three_step=tuple(three_step),
         rtol=rtol,
     )

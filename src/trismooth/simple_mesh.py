@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .angle_dynamics import PI, AngleTriple, QualityValue, after_steps, angle_ratio
-from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, angles_of, block_rows
+from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
@@ -225,9 +225,6 @@ class SimpleMeshGeometry:
 
     def triangles(self) -> tuple[TrianglePoints, ...]:
         return tuple(self.triangle(i) for i in range(len(self.boundary)))
-
-    def triangle_angles(self) -> tuple[AngleTriple, ...]:
-        return tuple(angles_of(t) for t in self.triangles())
 
     def total_area(self) -> float:
         return math.fsum(t.area() for t in self.triangles())

@@ -19,7 +19,6 @@ from trismooth import (
     iterate_closed_form,
     predict_quality,
     quality,
-    spectral_summary,
     transform,
 )
 from trismooth.angle_dynamics import THIRD_PI, angle_ratio, averaging_matrix
@@ -72,12 +71,6 @@ def test_triple_degeneracy_marking():
     wide = AngleTriple(PI - 1e-12, 5e-13, 5e-13)
     assert wide.is_degenerate()
     assert not EQUILATERAL.is_degenerate()
-
-
-def test_similarity_compares_sorted():
-    t = AngleTriple(PI / 2, PI / 3, PI / 6)
-    assert t.is_similar(AngleTriple(PI / 6, PI / 2, PI / 3))
-    assert not t.is_similar(EQUILATERAL)
 
 
 # --- transform / iterate ----------------------------------------------------
@@ -370,16 +363,11 @@ def test_contraction_identity_via_iteration():
     assert math.isclose(alpha4 - PI / 3, (PI / 6) / 16, rel_tol=1e-12)
 
 
-# --- spectral summary -------------------------------------------------------
+# --- spectrum -----------------------------------------------------------------
 
-def test_spectral_summary_eigenvalues():
-    s = spectral_summary()
-    assert s.eigenvalues == pytest.approx((-0.5, -0.5, 1.0), abs=1e-12)
+def test_averaging_matrix_eigenvalues():
     numeric = np.linalg.eigvalsh(averaging_matrix())
-    assert tuple(numeric) == pytest.approx(s.eigenvalues, abs=1e-12)
-    assert s.limit_triple.as_tuple() == pytest.approx(
-        (PI / 3, PI / 3, PI / 3), abs=1e-15
-    )
+    assert tuple(numeric) == pytest.approx((-0.5, -0.5, 1.0), abs=1e-12)
 
 
 def test_averaging_matrix_has_unit_row_sums():

@@ -528,6 +528,87 @@ def test_render_requires_out_and_validates_colormap(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["nan:000000,1:ffffff", "0:000000,nan:ffffff"])
+def test_render_nan_colormap_stop_is_usage_error(capsys, tmp_path, spec):
+    mesh = tmp_path / "m.off"
+    mesh.write_text(MINIMAL_OFF)
+    svg = tmp_path / "a.svg"
+    code, out, err = run(capsys, ["render", str(mesh), "--out", str(svg), "--colormap", spec])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: colormap stops must lie in [0, 1]")
+    assert len(err.splitlines()) == 1
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("m.off", ["analyze", "{path}"]),
+        ("m.obj", ["render", "{path}", "--out", "m.svg"]),
+        ("fan.json", ["simple-mesh", "--input", "{path}"]),
+        ("cfg.json", ["predict", "--config", "{path}"]),
+    ],
+)
+def test_non_utf8_input_is_io_error(capsys, tmp_path, name, argv):
+    # a file that is not UTF-8 is a file-format failure, like malformed JSON
+    path = tmp_path / name
+    path.write_bytes(b"OFF\n\xff\xfe 3 1 0\n")
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+#: A scalene triangle whose angles go wrong once its squared edges are
+#: subnormal (scale below about 1.5e-154), unless the range test stops it.
+SHAPE = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
+
+
+def shape_answer(capsys, tmp_path, command, scale):
+    """``command`` run on SHAPE scaled by ``scale``: exit code, stdout,
+    stderr, and on success what it computed (the angles and qualities, or
+    the SVG's fill)."""
+    points = [(x * scale, y * scale) for x, y in SHAPE]
+    mesh, svg = tmp_path / "s.off", tmp_path / "s.svg"
+    mesh.write_text("OFF\n3 1 0\n" + "".join(f"{x!r} {y!r}\n" for x, y in points) + "3 0 1 2\n")
+    argv = {
+        "analyze": ["analyze", str(mesh), "--steps", "1,2", "--json"],
+        "render": ["render", str(mesh), "--out", str(svg)],
+        "construct": ["construct", "--points", ",".join(repr(c) for p in points for c in p), "--json"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    if code:
+        return code, out, err, None
+    if command == "render":
+        return code, out, err, svg.read_text().split('fill="')[1][:7]
+    doc = json.loads(out)
+    if command == "analyze":
+        face = doc["triangles"][0]
+        computed = [face["alpha"], face["beta"], face["gamma"], face["q"]]
+        return code, out, err, computed + list(face["predicted"].values())
+    return code, out, err, doc["steps"][0]["angles"] + [e["quality"] for e in doc["steps"]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "render", "construct"])
+def test_tiny_coordinates_keep_their_answer(capsys, tmp_path, command):
+    code, _, err, unit = shape_answer(capsys, tmp_path, command, 1.0)
+    assert code == 0, err
+    code, _, err, tiny = shape_answer(capsys, tmp_path, command, 1e-150)
+    assert code == 0, err
+    assert tiny == (unit if command == "render" else pytest.approx(unit, abs=1e-15))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-157, 1e-160, 1e-170])
+@pytest.mark.parametrize("command", ["analyze", "render", "construct"])
+def test_tiny_coordinates_underflow_is_numeric_error(capsys, tmp_path, command, scale):
+    code, out, err, _ = shape_answer(capsys, tmp_path, command, scale)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: squared edge length underflows for vertices")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "s.svg").exists()
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc and RLIMIT_AS")
 @pytest.mark.parametrize(
     "argv",

@@ -221,6 +221,20 @@ def test_mesh_overflow_names_the_face_like_the_scalar_test(tmp_path):
     assert str(mesh_err.value) == str(scalar_err.value)
 
 
+def test_mesh_underflow_names_the_face_like_the_scalar_test(tmp_path):
+    text = "OFF\n5 2 0\n0 0\n1 0\n0 1\n1e-160 0\n3e-161 8e-161\n3 0 1 2\n3 0 3 4\n"
+    with pytest.raises(ArithmeticError) as mesh_err:
+        load_mesh(write(tmp_path, "m.off", text))
+    tri = TrianglePoints(Point2(0.0, 0.0), Point2(1e-160, 0.0), Point2(3e-161, 8e-161))
+    with pytest.raises(ArithmeticError) as scalar_err:
+        tri.is_collinear()
+    assert type(mesh_err.value) is type(scalar_err.value) is ArithmeticError
+    assert str(mesh_err.value) == str(scalar_err.value)
+    # a face on one point is still dropped as collinear
+    mesh = load_mesh(write(tmp_path, "c.off", "OFF\n4 2 0\n0 0\n1 0\n0 1\n2 2\n3 0 1 2\n3 3 3 3\n"))
+    assert [d.face_index for d in mesh.dropped] == [1]
+
+
 def test_mesh_model_validation():
     pts = (Point2(0, 0), Point2(1, 0), Point2(0, 1))
     with pytest.raises(ValueError):
@@ -331,7 +345,7 @@ def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch, capsys)
     report = analyze(mesh, (1, 2, 4))
     report.write_json(tmp_path / "r.json")
     report.write_csv(tmp_path / "r.csv")
-    report.to_dict()
+    "".join(report.json_chunks())
     argv = ["analyze", str(path), "--steps", "1,2,4", "--report", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 128 + 1
@@ -343,7 +357,8 @@ def test_mesh_pipeline_builds_no_per_face_objects(tmp_path, monkeypatch, capsys)
 
 
 def reference_dict(report):
-    """QualityReport.to_dict before the column writers, from the records."""
+    """The report's JSON document as the records give it (the dict the
+    column writers replaced), for json.dumps to write as reference text."""
     return {
         "predict_steps": list(report.predict_steps),
         "triangles": [
@@ -439,7 +454,7 @@ def test_column_writers_match_reference_writers(tmp_path, capsys, name, text, st
         written(tmp_path / "new")
         reference(report, tmp_path / "old")
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
-    assert json.dumps(report.to_dict(), indent=2) == json.dumps(reference_dict(report), indent=2)
+    assert "".join(report.json_chunks()) == json.dumps(reference_dict(report), indent=2)
     argv = ["analyze", str(path)] + (["--steps", ",".join(map(str, steps))] if steps else [])
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-len(report.triangles) :] == reference_lines(report)
@@ -506,9 +521,10 @@ def test_report_json_and_csv(tmp_path):
 
 def test_analyze_is_deterministic(tmp_path):
     mesh = load_mesh(write(tmp_path, "m.off", TWO_TRIANGLE_OFF))
-    a = analyze(mesh, (1, 2)).to_dict()
-    b = analyze(mesh, (1, 2)).to_dict()
+    a = "".join(analyze(mesh, (1, 2)).json_chunks())
+    b = "".join(analyze(mesh, (1, 2)).json_chunks())
     assert a == b
+    assert a == json.dumps(reference_dict(analyze(mesh, (1, 2))), indent=2)
 
 
 # --- color map -------------------------------------------------------------------
@@ -528,6 +544,9 @@ def test_colormap_parse_and_errors():
         "0.5:ff0000,0.1:00ff00",  # descending
         "0:zzz,1:00ff00",  # bad hex
         "0:ff0000,2:00ff00",  # out of range
+        "nan:000000,1:ffffff",  # NaN first, middle, last: every comparison with it is false
+        "0:000000,nan:777777,1:ffffff",
+        "0:000000,nan:ffffff",
         "nonsense",
     ):
         with pytest.raises(ValueError):

@@ -78,6 +78,31 @@ def test_collinearity_test_overflow_is_not_collinear():
         angles_of(tri)
 
 
+#: A fixed scalene shape whose angles go wrong once its squared edges are
+#: subnormal: off by 2.4e-10 at scale 1e-157, a bad angle sum at 1e-160,
+#: "collinear" at 1e-170, unless the range test stops it first.
+SHAPE = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
+
+
+def scaled_shape(scale):
+    return tri_of(*[(x * scale, y * scale) for x, y in SHAPE])
+
+
+def test_collinearity_test_underflow_is_not_collinear():
+    unit = angles_of(scaled_shape(1.0)).as_tuple()
+    assert angles_of(scaled_shape(1e-150)).as_tuple() == pytest.approx(unit, abs=1e-15)
+    for scale in (1e-157, 1e-160, 1e-170):
+        tri = scaled_shape(scale)
+        for call in (tri.is_collinear, lambda: angles_of(tri)):
+            with pytest.raises(ArithmeticError, match="squared edge length underflows") as err:
+                call()
+            assert type(err.value) is ArithmeticError
+    # coincident vertices are exactly collinear, not a numeric failure
+    assert tri_of((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)).is_collinear()
+    with pytest.raises(CollinearTriangleError):
+        angles_of(tri_of((1e-300, 0.0), (1e-300, 0.0), (1e-300, 0.0)))
+
+
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point2(math.inf, 0.0)
@@ -277,28 +302,37 @@ def test_growth_rescaling_keeps_coordinates_bounded():
     assert all(math.isfinite(v) for v in rep.log_cumulative)
 
 
+def three_step_logs(rep, blocks):
+    """Over the first 3*blocks steps: each edge's log growth, the log of the
+    published reading prod_{j=0..n} f_j, of one factor per three-step block
+    prod_{k<n} f_{3k}, and of every step's factor prod_{j<3n} f_j."""
+    m = 3 * blocks
+    logs = [math.log(r.factor) for r in rep.records]
+    edges = tuple(
+        math.fsum(math.log(r.edge_ratios[i]) for r in rep.records[:m]) for i in range(3)
+    )
+    return edges, math.fsum(logs[: blocks + 1]), math.fsum(logs[:m:3]), math.fsum(logs[:m])
+
+
 def test_growth_three_step_readings_reported_honestly():
     rep = edge_product_growth_check(EQUILATERAL_TRI, 6)
-    assert len(rep.three_step) == 2
-    first = rep.three_step[0]
+    edges, stated, block, per_step = three_step_logs(rep, 1)
     # single edges grow 8x over three steps; one factor per block matches
-    assert first.log_edge_ratios == pytest.approx(
-        (math.log(8),) * 3, abs=1e-9
-    )
-    assert all(first.edges_match_block)
-    # the as-published product of n+1 factors does not, and must be reported
-    assert first.log_stated == pytest.approx(math.log(64), abs=1e-9)
-    assert not any(first.edges_match_stated)
+    assert edges == pytest.approx((math.log(8),) * 3, abs=1e-9)
+    assert all(abs(e - block) <= rep.rtol for e in edges)
+    # the as-published product of n+1 factors does not
+    assert stated == pytest.approx(math.log(64), abs=1e-9)
+    assert not any(abs(e - stated) <= rep.rtol for e in edges)
     # the per-step product tracks the triple product exactly
-    assert first.product_matches_per_step
+    assert abs(rep.log_cumulative[2] - per_step) <= rep.rtol
 
 
 def test_growth_three_step_scalene_product_reading():
     tri = tri_of((0.0, 0.0), (2.0, 0.1), (0.6, 1.3))
     rep = edge_product_growth_check(tri, 9)
-    for rec in rep.three_step:
-        assert rec.product_matches_per_step
-        assert abs(rec.log_product_ratio - rec.log_per_step) <= rep.rtol
+    for blocks in range(1, 4):
+        _, _, _, per_step = three_step_logs(rep, blocks)
+        assert abs(rep.log_cumulative[3 * blocks - 1] - per_step) <= rep.rtol
 
 
 def test_growth_check_rejects_bad_steps():

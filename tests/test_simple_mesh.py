@@ -15,6 +15,7 @@ from trismooth import (
     Point2,
     SimpleMeshAngles,
     SimpleMeshGeometry,
+    angles_of,
     correction_terms,
     iterate_mesh,
     load_mesh_angles,
@@ -433,7 +434,7 @@ def test_reconstruct_roundtrip_scale_invariant():
         for radius in (1.0, 7.3):
             geom, res = reconstruct_geometry(m, radius)
             assert res.radius <= 1e-8 and abs(res.turn) <= 1e-8
-            angs = geom.triangle_angles()
+            angs = [angles_of(t) for t in geom.triangles()]
             for i in range(n):
                 assert angs[i].alpha == pytest.approx(m.alpha[i], abs=1e-8)
                 assert angs[i].beta == pytest.approx(m.beta[i], abs=1e-8)
