@@ -72,7 +72,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     Each value must fit its flag: a switch takes a JSON bool, an integer
     option a JSON int.  The caller parses again, so explicit flags win.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
@@ -332,6 +332,9 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
         if path:
             write(path)
             written.append(f"wrote {path}")
+    # under --json main prints only the column writer's JSON text: build no lines
+    if args.json:
+        return "".join(report.json_chunks()), written
     s = report.summary
     lines = [
         f"{s.count} triangles: q min {s.q_min:.6f}, "
@@ -342,8 +345,7 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     template = "  triangle %d: q=%.6f"
     template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
     lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
-    # the column writer's JSON text, as json.dumps(indent=2) would write the report
-    return "".join(report.json_chunks()) if args.json else None, lines + written
+    return None, lines + written
 
 
 def cmd_render(args: argparse.Namespace) -> Result:

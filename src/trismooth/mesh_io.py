@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import compress, starmap
 
 import numpy as np
 
@@ -51,59 +52,86 @@ class DegenerateFace:
     indices: tuple[int, int, int]
 
 
-def _faces(
-    xy: np.ndarray, triangles: tuple[tuple[int, int, int], ...]
-) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Faces as an (F, 3) array, and the first face with a vertex index
-    outside ``xy`` with that index (None when every index is inside)."""
-    nv = len(xy)
-    # no dtype: an index past int64 makes an object array, compared exactly
-    faces = np.array(triangles).reshape(len(triangles), 3)
+def _first_outside(faces: np.ndarray, nv: int) -> tuple[int, int] | None:
+    """The first face of ``faces`` (F, 3) with a vertex index outside ``nv``
+    vertices, with that index; None when every index is inside."""
     outside = (faces < 0) | (faces >= nv)
     if not outside.any():
-        return faces.astype(np.int64), None
+        return None
     t = int(outside.any(axis=1).argmax())
-    return faces, (t, triangles[t][int(outside[t].argmax())])
+    return t, faces[t].tolist()[int(outside[t].argmax())]
 
 
-@dataclass(frozen=True)
 class MeshModel:
-    """Indexed triangle mesh; degenerate faces are kept out but on record.
+    """Indexed triangle mesh held as arrays; degenerate faces are kept out
+    but on record.
 
-    Building one checks every face once, in array passes, and keeps what
-    the collinearity test measured: ``angles``, the (F, 3) inner angles
-    (alpha, beta, gamma per triangle, before AngleTriple's sum repair)
-    that ``analyze`` and ``render_svg`` read.
+    ``xy`` holds the (V, 2) vertex coordinates and ``faces`` the (F, 3)
+    int64 vertex indices of the kept faces.  Building one checks every face
+    once, in array passes, and keeps what the collinearity test measured:
+    ``angles``, the (F, 3) inner angles (alpha, beta, gamma per triangle,
+    before AngleTriple's sum repair) that ``analyze`` and ``render_svg``
+    read.  ``vertices`` (Point2s) and ``triangles`` (index tuples) are
+    read-only views of ``xy`` and ``faces``, built when first read;
+    equality, hashing and ``repr`` go through them.
     """
 
-    vertices: tuple[Point2, ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    dropped: tuple[DegenerateFace, ...] = ()
-    angles: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        vertices = tuple(self.vertices)
-        triangles = tuple(tuple(t) for t in self.triangles)
+    def __init__(self, vertices, triangles, dropped: tuple[DegenerateFace, ...] = ()):
+        vertices = tuple(vertices)
+        triangles = tuple(tuple(t) for t in triangles)
         xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
-        faces, outside = _faces(xy, triangles)
+        faces = _index_array(triangles).reshape(len(triangles), 3)
+        outside = _first_outside(faces, len(xy))
         if outside is not None:
             t, index = outside
             raise ValueError(f"triangle {t}: vertex index {index} out of range")
         flat, angles = measure_faces(xy, faces)
         if flat.any():
             raise ValueError(f"triangle {int(flat.argmax())} is degenerate (collinear)")
-        self._keep(vertices, triangles, tuple(self.dropped), angles)
+        self._keep(xy, faces, tuple(dropped), angles)
+        # the views are the objects given
+        self.__dict__.update(vertices=vertices, triangles=triangles)
 
-    def _keep(self, vertices, triangles, dropped, angles) -> "MeshModel":
+    def _keep(self, xy, faces, dropped, angles) -> "MeshModel":
         """Store the checked faces and their angles, if there are 3 vertices."""
-        if len(vertices) < 3:
-            raise ValueError(f"mesh needs at least 3 vertices, got {len(vertices)}")
-        for name, value in zip(
-            ("vertices", "triangles", "dropped", "angles"),
-            (vertices, triangles, dropped, angles),
-        ):
+        if len(xy) < 3:
+            raise ValueError(f"mesh needs at least 3 vertices, got {len(xy)}")
+        for name, value in (("xy", xy), ("faces", faces), ("angles", angles)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "dropped", dropped)
         return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple(starmap(Point2, self.xy.tolist()))
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.faces.tolist()))
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.triangles, self.dropped)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(vertices={self.vertices!r}, "
+            f"triangles={self.triangles!r}, dropped={self.dropped!r})"
+        )
 
     def triangle_points(self, t: int) -> TrianglePoints:
         i, j, k = self.triangles[t]
@@ -112,56 +140,36 @@ class MeshModel:
         )
 
 
-def _significant_lines(path) -> list[tuple[int, list[str]]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                out.append((lineno, text.split()))
-    return out
+# A reader hands on blocks of lines: the significant lines of a file (its
+# text with # comments cut, holding more than whitespace) and their 1-based
+# line numbers.  Each block is parsed in bulk; when a bulk check fails, the
+# per-line checks run over the lines only to name the first bad one.
+Block = tuple[list[str], list[int]]
 
 
-def _flatten(rows: list[tuple[int, tuple[float, ...]]]) -> np.ndarray:
-    """(V, 2) coordinates of 2D vertex rows, or of 3D rows with constant z."""
-    if len({len(coords) for _, coords in rows}) != 1:
-        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=rows[0][0])
-    coords = np.array([c for _, c in rows])
-    if coords.shape[1] == 3:
-        zs = coords[:, 2].tolist()
-        span = max(zs) - min(zs)
-        extent = max(1.0, float(np.abs(coords).max()))
-        if span > FLATTEN_Z_TOL * extent:
-            raise MeshFormatError(
-                f"3D mesh is not planar (z span {span:.3e}); only constant-z "
-                "inputs are flattened",
-                line=rows[0][0],
-            )
-    return coords[:, :2]
+def _significant_lines(path) -> Block:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        # text mode reads CR and CRLF as "\n": these are enumerate(fh)'s lines
+        lines = [line.partition("#")[0] for line in fh.read().split("\n")]
+    numbers = list(compress(range(1, len(lines) + 1), map(str.strip, lines)))
+    return [lines[n - 1] for n in numbers], numbers
 
 
-def _build_model(
-    vertex_rows: list[tuple[int, tuple[float, ...]]],
-    face_rows: list[tuple[int, tuple[int, int, int]]],
-) -> MeshModel:
-    xy = _flatten(vertex_rows)
-    triangles = tuple(idx for _, idx in face_rows)
-    faces, outside = _faces(xy, triangles)
-    if outside is not None:
-        t, index = outside
-        raise MeshFormatError(
-            f"face index {index} out of range (mesh has {len(xy)} vertices)",
-            line=face_rows[t][0],
-        )
-    flat, angles = measure_faces(xy, faces)
-    vertices = tuple(Point2(x, y) for x, y in xy.tolist())
-    dropped = tuple(DegenerateFace(int(t), triangles[t]) for t in np.flatnonzero(flat))
-    kept = tuple(compress(triangles, ~flat))
-    # the faces are checked and measured: skip __post_init__'s second pass
-    return MeshModel.__new__(MeshModel)._keep(vertices, kept, dropped, angles[~flat])
+def _coordinates(lines: list[str]) -> np.ndarray | None:
+    """(V, k) floats of vertex lines holding k = 2 or 3 finite floats each;
+    None if a line fails ``_vertex_row`` or the lines mix 2D and 3D."""
+    counts = set(map(len, map(str.split, lines)))
+    if len(counts) != 1 or not counts <= {2, 3}:
+        return None
+    k = counts.pop()
+    try:
+        coords = np.fromiter(map(float, " ".join(lines).split()), float, k * len(lines))
+    except ValueError:
+        return None
+    return coords.reshape(-1, k) if np.isfinite(coords).all() else None
 
 
-def _vertex_row(tokens: list[str], lineno: int) -> tuple[int, tuple[float, ...]]:
+def _vertex_row(tokens: list[str], lineno: int) -> None:
     if len(tokens) not in (2, 3):
         raise MeshFormatError(
             f"vertex line must have 2 or 3 floats, got {len(tokens)}", line=lineno
@@ -172,86 +180,162 @@ def _vertex_row(tokens: list[str], lineno: int) -> tuple[int, tuple[float, ...]]
         raise MeshFormatError(f"bad vertex: {exc}", line=lineno) from exc
     if not all(math.isfinite(v) for v in values):
         raise MeshFormatError("non-finite vertex", line=lineno)
-    return lineno, values
 
 
-def _read_off(path) -> tuple[list, list]:
-    lines = _significant_lines(path)
+def _flatten(coords: np.ndarray, lineno: int) -> np.ndarray:
+    """(V, 2) coordinates of 2D vertices, or of 3D ones with constant z."""
+    if coords.shape[1] == 3:
+        span = float(coords[:, 2].max() - coords[:, 2].min())
+        extent = max(1.0, float(np.abs(coords).max()))
+        if span > FLATTEN_Z_TOL * extent:
+            raise MeshFormatError(
+                f"3D mesh is not planar (z span {span:.3e}); only constant-z "
+                "inputs are flattened",
+                line=lineno,
+            )
+    return np.ascontiguousarray(coords[:, :2])
+
+
+def _index_array(values) -> np.ndarray:
+    """Vertex indices (ints, three per face) as an (F, 3) array: int64, or
+    object when one is past int64 (out of range, and reported exactly)."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(-1, 3)
+
+
+def _indices(tokens: list[str]) -> np.ndarray | None:
+    """``int`` of each token, three per face; None if a token is not an int."""
+    try:
+        return _index_array(list(map(int, tokens)))
+    except ValueError:
+        return None
+
+
+def _off_faces(lines: list[str]) -> np.ndarray | None:
+    """(F, 3) vertex indices of OFF face lines ``3 i j k`` (later tokens,
+    such as colors, are ignored); None if a line fails ``_off_face_row``."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    if (counts < 4).any():
+        return None
+    tokens = np.array(" ".join(lines).split(), dtype=object)
+    first = np.cumsum(counts) - counts  # each line's first token
+    if not (tokens[first] == "3").all():
+        return None
+    return _indices(tokens[first[:, None] + (1, 2, 3)].ravel().tolist())
+
+
+def _off_face_row(tokens: list[str], lineno: int) -> None:
+    if tokens[0] != "3":
+        raise MeshFormatError(
+            f"non-triangular face (vertex count {tokens[0]})", line=lineno
+        )
+    if len(tokens) < 4:
+        raise MeshFormatError("face line needs 3 vertex indices", line=lineno)
+    try:
+        int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError as exc:
+        raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
+
+
+def _read_off(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
+    """The vertex and face lines of an OFF file, after its header and counts."""
     if not lines:
         raise MeshFormatError("empty file", line=1)
-    lineno, tokens = lines[0]
+    tokens = lines[0].split()
     if tokens != ["OFF"]:
         raise MeshFormatError(
-            f"expected 'OFF' header, got {' '.join(tokens)!r}", line=lineno
+            f"expected 'OFF' header, got {' '.join(tokens)!r}", line=numbers[0]
         )
     if len(lines) < 2:
-        raise MeshFormatError("missing counts line", line=lineno)
-    lineno, tokens = lines[1]
+        raise MeshFormatError("missing counts line", line=numbers[0])
+    tokens = lines[1].split()
     try:
         nv, nf = int(tokens[0]), int(tokens[1])
     except (ValueError, IndexError) as exc:
-        raise MeshFormatError(f"bad counts line: {exc}", line=lineno) from exc
+        raise MeshFormatError(f"bad counts line: {exc}", line=numbers[1]) from exc
     if nv < 1 or nf < 0:
         raise MeshFormatError(
             f"bad counts line: need vertices >= 1 and faces >= 0, got {nv} and {nf}",
-            line=lineno,
+            line=numbers[1],
         )
-    body = lines[2:]
-    if len(body) < nv + nf:
+    if len(lines) - 2 < nv + nf:
         raise MeshFormatError(
-            f"expected {nv} vertex and {nf} face lines, found {len(body)}",
-            line=lines[-1][0],
+            f"expected {nv} vertex and {nf} face lines, found {len(lines) - 2}",
+            line=numbers[-1],
         )
-    vertex_rows = [_vertex_row(tokens, lineno) for lineno, tokens in body[:nv]]
-    face_rows = []
-    for lineno, tokens in body[nv : nv + nf]:
-        if tokens[0] != "3":
-            raise MeshFormatError(
-                f"non-triangular face (vertex count {tokens[0]})", line=lineno
-            )
-        if len(tokens) < 4:
-            raise MeshFormatError("face line needs 3 vertex indices", line=lineno)
+    v, f = slice(2, 2 + nv), slice(2 + nv, 2 + nv + nf)
+    return (lines[v], numbers[v]), (lines[f], numbers[f])
+
+
+def _obj_faces(lines: list[str]) -> np.ndarray | None:
+    """(F, 3) 0-based vertex indices of OBJ face references (``i``, ``i/j``,
+    ``i/j/k``; 1-based in the file); None if a line fails ``_obj_face_row``."""
+    if any(len(line.split()) != 3 for line in lines):
+        return None
+    faces = _indices([ref.partition("/")[0] for ref in " ".join(lines).split()])
+    if faces is None or not (faces >= 1).all():
+        return None
+    return faces - 1
+
+
+def _obj_face_row(refs: list[str], lineno: int) -> None:
+    if len(refs) != 3:
+        raise MeshFormatError(f"non-triangular face ({len(refs)} vertices)", line=lineno)
+    for ref in refs:
+        head = ref.split("/", 1)[0]
         try:
-            idx = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
+            value = int(head)
         except ValueError as exc:
-            raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
-        face_rows.append((lineno, idx))
-    return vertex_rows, face_rows
+            raise MeshFormatError(f"bad face reference {ref!r}", line=lineno) from exc
+        if value < 1:
+            raise MeshFormatError(
+                f"face index {value} must be positive (1-based)", line=lineno
+            )
 
 
-def _read_obj(path) -> tuple[list, list]:
-    vertex_rows = []
-    face_rows = []
-    for lineno, tokens in _significant_lines(path):
-        key = tokens[0]
-        if key == "v":
-            vertex_rows.append(_vertex_row(tokens[1:], lineno))
-        elif key == "f":
-            refs = tokens[1:]
-            if len(refs) != 3:
-                raise MeshFormatError(
-                    f"non-triangular face ({len(refs)} vertices)", line=lineno
-                )
-            idx = []
-            for ref in refs:
-                head = ref.split("/", 1)[0]
-                try:
-                    value = int(head)
-                except ValueError as exc:
-                    raise MeshFormatError(
-                        f"bad face reference {ref!r}", line=lineno
-                    ) from exc
-                if value < 1:
-                    raise MeshFormatError(
-                        f"face index {value} must be positive (1-based)",
-                        line=lineno,
-                    )
-                idx.append(value - 1)
-            face_rows.append((lineno, (idx[0], idx[1], idx[2])))
-        # every other directive (vn, vt, o, g, s, usemtl, ...) is ignored
-    if not vertex_rows:
-        raise MeshFormatError("no vertex lines found", line=1)
-    return vertex_rows, face_rows
+def _read_obj(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
+    """The ``v`` and ``f`` lines of an OBJ file, without their directive;
+    every other directive (vn, vt, o, g, s, usemtl, ...) is ignored."""
+    blocks = {"v": ([], []), "f": ([], [])}
+    for line, lineno in zip(lines, numbers):
+        key, *rest = line.split(None, 1)
+        if key in blocks:
+            blocks[key][0].append(rest[0] if rest else "")
+            blocks[key][1].append(lineno)
+    return blocks["v"], blocks["f"]
+
+
+_FORMATS = {
+    "off": (_read_off, _off_faces, _off_face_row),
+    "obj": (_read_obj, _obj_faces, _obj_face_row),
+}
+
+
+def _name_first_bad_line(vertices: Block, faces: Block, face_row) -> None:
+    """Run the per-line checks over every vertex and face line in file
+    order; the first line that fails raises its MeshFormatError."""
+    checks = [(n, _vertex_row, line) for line, n in zip(*vertices)]
+    checks += [(n, face_row, line) for line, n in zip(*faces)]
+    for lineno, check, line in sorted(checks, key=lambda c: c[0]):
+        check(line.split(), lineno)
+
+
+def _build_model(xy: np.ndarray, faces: np.ndarray, numbers: list[int]) -> MeshModel:
+    outside = _first_outside(faces, len(xy))
+    if outside is not None:
+        t, index = outside
+        raise MeshFormatError(
+            f"face index {index} out of range (mesh has {len(xy)} vertices)",
+            line=numbers[t],
+        )
+    flat, angles = measure_faces(xy, faces)
+    dropped = tuple(
+        DegenerateFace(t, tuple(faces[t].tolist())) for t in np.flatnonzero(flat).tolist()
+    )
+    # the faces are checked and measured: skip __init__'s second pass
+    return MeshModel.__new__(MeshModel)._keep(xy, faces[~flat], dropped, angles[~flat])
 
 
 def load_mesh(path, fmt: str | None = None) -> MeshModel:
@@ -260,7 +344,7 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
     Parameters
     ----------
     path : str or Path
-        File to read.
+        File to read (UTF-8, with or without a byte-order mark).
     fmt : {"off", "obj"}, optional
         Format; inferred from the filename extension when omitted.
 
@@ -268,7 +352,7 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
     -------
     MeshModel
         Validated mesh.  Degenerate (collinear) faces are excluded from
-        ``triangles`` and reported in ``dropped``.
+        ``faces`` and reported in ``dropped``.
 
     Raises
     ------
@@ -278,22 +362,26 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
     if fmt is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()
         fmt = suffix
-    read = {"off": _read_off, "obj": _read_obj}.get(fmt.lower())
-    if read is None:
+    if fmt.lower() not in _FORMATS:
         raise ValueError(f"unsupported mesh format {fmt!r} (use 'off' or 'obj')")
-    # the reader's token lists are freed before the model's array passes
-    return _build_model(*read(path))
+    read, parse_faces, face_row = _FORMATS[fmt.lower()]
+    vertices, faces = read(*_significant_lines(path))
+    coords, indices = _coordinates(vertices[0]), parse_faces(faces[0])
+    if coords is None or indices is None:
+        _name_first_bad_line(vertices, faces, face_row)
+    if not vertices[0]:
+        raise MeshFormatError("no vertex lines found", line=1)
+    if coords is None:  # every line passed its own check
+        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=vertices[1][0])
+    return _build_model(_flatten(coords, vertices[1][0]), indices, faces[1])
 
 
 def save_off(mesh: MeshModel, path) -> None:
     """Write the mesh as OFF with full float precision (lossless round trip)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for p in mesh.vertices:
-            fh.write(f"{p.x:.17g} {p.y:.17g} 0\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"3 {i} {j} {k}\n")
+        fh.write(f"OFF\n{len(mesh.xy)} {len(mesh.faces)} 0\n")
+        fh.writelines(block_rows("%.17g %.17g 0\n", "", mesh.xy))
+        fh.writelines(block_rows("3 %d %d %d\n", "", mesh.faces))
 
 
 @dataclass(frozen=True)
@@ -427,7 +515,7 @@ def analyze(
         raise ValueError("prediction steps must be >= 0")
     if bins < 1:
         raise ValueError("histogram needs at least one bin")
-    if not mesh.triangles:
+    if not len(mesh.faces):
         raise ValueError("mesh has no valid triangles to analyze")
     angles, q = _repaired_quality(mesh.angles)
     predicted = np.empty((len(q), len(steps)))
@@ -557,11 +645,8 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     """
     cmap = colormap if colormap is not None else ColorMap.default()
     # flip y so screen orientation matches mathematical orientation
-    pts = [(p.x, -p.y) for p in mesh.vertices]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    pts = mesh.xy * [1.0, -1.0]
+    (min_x, min_y), (max_x, max_y) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     span = max(max_x - min_x, max_y - min_y)
     if span <= 0.0:
         span = 1.0
@@ -582,13 +667,14 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
         f'width="{fmt(_SVG_WIDTH)}" height="{fmt(height)}" '
         f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
     ]
-    corner = [f"{fmt(x)},{fmt(y)}" for x, y in pts]
+    # "%.9g" is fmt's text; one % per block of corners is faster than one per corner
+    corner = "".join(block_rows("%.9g,%.9g", "\n", pts)).split("\n")
     stroke = f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>'
     _, q = _repaired_quality(mesh.angles)
     lines += [
         f'  <polygon points="{corner[i]} {corner[j]} {corner[k]}" '
         f'fill="{fill}" {stroke}'
-        for (i, j, k), fill in zip(mesh.triangles, cmap.colors(q))
+        for (i, j, k), fill in zip(mesh.faces.tolist(), cmap.colors(q))
     ]
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

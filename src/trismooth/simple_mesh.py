@@ -448,7 +448,7 @@ def mesh_from_dict(data: dict) -> SimpleMeshAngles:
 
 def load_mesh_angles(path) -> SimpleMeshAngles:
     """Read and validate a fan mesh from its JSON interchange file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         data = json.load(fh)
     return mesh_from_dict(data)
 

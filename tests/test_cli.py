@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import trismooth
 from trismooth import cli
 from trismooth.angle_dynamics import STEP_CLAMP
+from trismooth.mesh_io import QualityReport
 from trismooth.simple_mesh import mesh_to_dict, optimal_mesh
 
 PI = math.pi
@@ -457,6 +461,26 @@ def test_analyze_writes_reports(capsys, tmp_path):
     assert csv_path.read_text().startswith("index,")
 
 
+def test_analyze_json_builds_no_text_lines(capsys, tmp_path, monkeypatch):
+    # under --json only the document is printed, so the per-face lines are not built
+    mesh = tmp_path / "m.off"
+    mesh.write_text(MINIMAL_OFF)
+    templates = Counter()
+    rows = QualityReport.rows
+
+    def counted(report, template, *args):
+        templates["text" if template.startswith("  triangle") else "json"] += 1
+        return rows(report, template, *args)
+
+    monkeypatch.setattr(QualityReport, "rows", counted)
+    code, out, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
+    assert code == 0 and json.loads(out)["summary"]["count"] == 1
+    assert templates == Counter({"json": 1})
+    code, out, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2"])
+    assert code == 0 and out.splitlines()[-1].startswith("  triangle 0: q=")
+    assert templates == Counter({"json": 1, "text": 1})
+
+
 def test_analyze_missing_file_is_io_error(capsys, tmp_path):
     code, _, _ = run(capsys, ["analyze", str(tmp_path / "absent.off")])
     assert code == 3
@@ -559,6 +583,27 @@ def test_non_utf8_input_is_io_error(capsys, tmp_path, name, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("m.off", MINIMAL_OFF.replace("\n", "\r\n"), ["analyze", "{path}"]),
+        ("m.obj", "v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n", ["analyze", "{path}", "--json"]),
+        ("fan.json", json.dumps(mesh_to_dict(optimal_mesh(4))), ["simple-mesh", "--input", "{path}"]),
+        ("cfg.json", '{"angles": "90,60,30", "degrees": true}', ["predict", "--config", "{path}"]),
+    ],
+    ids=["off-crlf", "obj", "simple-mesh-input", "config"],
+)
+def test_utf8_byte_order_mark_is_accepted(capsys, tmp_path, name, text, argv):
+    # a UTF-8 file saved with a byte-order mark reads as the same file without one
+    path = tmp_path / name
+    argv = [a.format(path=path) for a in argv]
+    path.write_bytes(text.encode())
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and plain[2] == "", plain
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, argv) == plain
+
+
 #: A scalene triangle whose angles go wrong once its squared edges are
 #: subnormal (scale below about 1.5e-154), unless the range test stops it.
 SHAPE = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
@@ -607,6 +652,60 @@ def test_tiny_coordinates_underflow_is_numeric_error(capsys, tmp_path, command, 
     assert err.startswith("error: squared edge length underflows for vertices")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "s.svg").exists()
+
+
+#: Two faces of different sizes: over the scales, one leaves the float range
+#: before the other.
+SCALE_MESH = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8), (4.0, 3.0))
+SCALE_FACES = ((0, 1, 2), (1, 3, 2))
+
+
+def scaled_mesh_runs(capsys, tmp_path, scale):
+    """``analyze --json`` and ``render`` of SCALE_MESH scaled by ``scale``,
+    written with %.17g: each run's code, stdout and stderr, and what it
+    computed (the faces' angles and qualities, the SVG's fills)."""
+    points = [(x * scale, y * scale) for x, y in SCALE_MESH]
+    mesh, svg = tmp_path / "s.off", tmp_path / "s.svg"
+    svg.unlink(missing_ok=True)
+    text = f"OFF\n{len(points)} {len(SCALE_FACES)} 0\n"
+    text += "".join("%.17g %.17g\n" % p for p in points)
+    mesh.write_text(text + "".join("3 %d %d %d\n" % f for f in SCALE_FACES))
+    code, out, err = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
+    faces = json.loads(out)["triangles"] if code == 0 else []
+    angles = [[f["alpha"], f["beta"], f["gamma"], f["q"], *f["predicted"].values()] for f in faces]
+    analyzed = (code, out, err, angles)
+    code, out, err = run(capsys, ["render", str(mesh), "--out", str(svg)])
+    fills = svg.read_text().split('fill="')[1:] if code == 0 else []
+    return analyzed, (code, out, err, [f[:7] for f in fills])
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+@example(exponent=-300.0)
+@example(exponent=300.0)
+@example(exponent=math.log10(1.5e-154))
+@example(exponent=153.5)
+def test_mesh_scale_keeps_angles_or_is_numeric_error(capsys, tmp_path, exponent):
+    # the angles of a mesh do not depend on its scale, up to where a squared
+    # edge leaves the float range: there the answer is exit 4, one error line
+    scale = 10.0**exponent
+    unit = scaled_mesh_runs(capsys, tmp_path, 1.0)
+    scaled = scaled_mesh_runs(capsys, tmp_path, scale)
+    points = [(x * scale, y * scale) for x, y in SCALE_MESH]
+    longest = [
+        max(math.dist(points[a], points[b]) for a, b in ((i, j), (j, k), (k, i)))
+        for i, j, k in SCALE_FACES
+    ]
+    leaves = any(d * d == math.inf or (d * d < sys.float_info.min and d > 0) for d in longest)
+    for (code, out, err, computed), (_, _, _, expected) in zip(scaled, unit):
+        if leaves:
+            assert (code, out, computed) == (4, "", []), (scale, err)
+            assert err.startswith("error: squared edge length") and len(err.splitlines()) == 1
+        else:
+            assert (code, err) == (0, ""), scale
+            assert len(computed) == len(expected)
+            for got, want in zip(computed, expected):
+                assert got == (want if isinstance(want, str) else pytest.approx(want, abs=1e-12))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc and RLIMIT_AS")

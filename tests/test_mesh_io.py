@@ -248,6 +248,33 @@ def test_mesh_model_validation():
         MeshModel(pts, ((0, 1, 2), (0, 1, 10**30)))
 
 
+def test_mesh_model_is_arrays_with_views_built_when_read(tmp_path):
+    mesh = load_mesh(write(tmp_path, "m.off", DROPPED_FACE_OFF))
+    assert (mesh.xy.dtype, mesh.xy.shape) == (np.float64, (5, 2))
+    assert mesh.faces.dtype == np.int64 and mesh.faces.tolist() == [[0, 1, 3], [1, 4, 3]]
+    assert not {"vertices", "triangles"} & set(vars(mesh))
+    assert mesh.triangles == ((0, 1, 3), (1, 4, 3))
+    assert mesh.vertices == tuple(Point2(x, y) for x, y in mesh.xy.tolist())
+    assert mesh.triangle_points(1) == TrianglePoints(Point2(1, 0), Point2(1, 1), Point2(0, 1))
+    # the constructor's model is equal, and its views are what it was given
+    pts = (Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(0, 1), Point2(1, 1))
+    built = MeshModel(pts, [[0, 1, 3], (1, 4, 3)], mesh.dropped)
+    assert built == mesh and hash(built) == hash(mesh)
+    assert built.vertices is pts and built.triangles == ((0, 1, 3), (1, 4, 3))
+    assert repr(mesh) == (
+        "MeshModel(vertices=(Point2(x=0.0, y=0.0), Point2(x=1.0, y=0.0), "
+        "Point2(x=2.0, y=0.0), Point2(x=0.0, y=1.0), Point2(x=1.0, y=1.0)), "
+        "triangles=((0, 1, 3), (1, 4, 3)), "
+        "dropped=(DegenerateFace(face_index=1, indices=(0, 1, 2)),))"
+    )
+    for name in ("xy", "faces", "angles", "dropped", "vertices", "triangles"):
+        with pytest.raises(AttributeError):
+            setattr(mesh, name, None)
+    for array in (mesh.xy, mesh.faces, mesh.angles):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
 # --- OFF writing -----------------------------------------------------------------
 
 def test_off_roundtrip_is_lossless(tmp_path):
@@ -258,6 +285,15 @@ def test_off_roundtrip_is_lossless(tmp_path):
     assert again.triangles == mesh.triangles
     for p, q in zip(again.vertices, mesh.vertices):
         assert p.x == q.x and p.y == q.y  # bitwise, via %.17g
+
+
+def test_save_off_matches_per_vertex_writer(tmp_path):
+    mesh = load_mesh(write(tmp_path, "grid.off", jittered_grid_off(48, seed=2)))  # two blocks
+    save_off(mesh, tmp_path / "copy.off")
+    reference = f"OFF\n{len(mesh.vertices)} {len(mesh.triangles)} 0\n"
+    reference += "".join(f"{p.x:.17g} {p.y:.17g} 0\n" for p in mesh.vertices)
+    reference += "".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles)
+    assert (tmp_path / "copy.off").read_bytes() == reference.encode()
 
 
 # --- analysis ---------------------------------------------------------------------
@@ -639,6 +675,17 @@ def test_render_uniform_quality_uses_one_fill(tmp_path):
     assert fills == {"#313695"}
 
 
+def test_render_corners_match_per_vertex_format(tmp_path):
+    # 4,356 vertices: the corner text is formatted in two blocks
+    mesh = load_mesh(write(tmp_path, "grid.off", jittered_grid_off(65, seed=4)))
+    render_svg(mesh, tmp_path / "grid.svg")
+    polygons = [el for el in ET.parse(tmp_path / "grid.svg").getroot() if el.tag.endswith("polygon")]
+    corner = [f"{p.x:.9g},{-p.y:.9g}" for p in mesh.vertices]
+    assert [el.get("points") for el in polygons] == [
+        " ".join(corner[i] for i in face) for face in mesh.triangles
+    ]
+
+
 def test_render_viewbox_has_margin(tmp_path):
     mesh = load_mesh(write(tmp_path, "m.off", MINIMAL_OFF))
     path = tmp_path / "m.svg"
@@ -698,3 +745,261 @@ def test_parser_fuzz_gives_only_documented_exit_codes(tmp_path, capsys):
         codes[code] += 1
     # the streams reach past the parsers: some load and analyze, some overflow
     assert min(codes[0], codes[2], codes[3], codes[4]) > 0, codes
+
+
+# --- the per-line readers, as reference for the bulk readers ------------------------
+
+def reference_significant_lines(path):
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                out.append((lineno, text.split()))
+    return out
+
+
+def reference_vertex_row(tokens, lineno):
+    if len(tokens) not in (2, 3):
+        raise MeshFormatError(
+            f"vertex line must have 2 or 3 floats, got {len(tokens)}", line=lineno
+        )
+    try:
+        values = tuple(float(tok) for tok in tokens)
+    except ValueError as exc:
+        raise MeshFormatError(f"bad vertex: {exc}", line=lineno) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise MeshFormatError("non-finite vertex", line=lineno)
+    return lineno, values
+
+
+def reference_read_off(path):
+    lines = reference_significant_lines(path)
+    if not lines:
+        raise MeshFormatError("empty file", line=1)
+    lineno, tokens = lines[0]
+    if tokens != ["OFF"]:
+        raise MeshFormatError(
+            f"expected 'OFF' header, got {' '.join(tokens)!r}", line=lineno
+        )
+    if len(lines) < 2:
+        raise MeshFormatError("missing counts line", line=lineno)
+    lineno, tokens = lines[1]
+    try:
+        nv, nf = int(tokens[0]), int(tokens[1])
+    except (ValueError, IndexError) as exc:
+        raise MeshFormatError(f"bad counts line: {exc}", line=lineno) from exc
+    if nv < 1 or nf < 0:
+        raise MeshFormatError(
+            f"bad counts line: need vertices >= 1 and faces >= 0, got {nv} and {nf}",
+            line=lineno,
+        )
+    body = lines[2:]
+    if len(body) < nv + nf:
+        raise MeshFormatError(
+            f"expected {nv} vertex and {nf} face lines, found {len(body)}",
+            line=lines[-1][0],
+        )
+    vertex_rows = [reference_vertex_row(tokens, lineno) for lineno, tokens in body[:nv]]
+    face_rows = []
+    for lineno, tokens in body[nv : nv + nf]:
+        if tokens[0] != "3":
+            raise MeshFormatError(
+                f"non-triangular face (vertex count {tokens[0]})", line=lineno
+            )
+        if len(tokens) < 4:
+            raise MeshFormatError("face line needs 3 vertex indices", line=lineno)
+        try:
+            idx = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
+        except ValueError as exc:
+            raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
+        face_rows.append((lineno, idx))
+    return vertex_rows, face_rows
+
+
+def reference_read_obj(path):
+    vertex_rows = []
+    face_rows = []
+    for lineno, tokens in reference_significant_lines(path):
+        key = tokens[0]
+        if key == "v":
+            vertex_rows.append(reference_vertex_row(tokens[1:], lineno))
+        elif key == "f":
+            refs = tokens[1:]
+            if len(refs) != 3:
+                raise MeshFormatError(
+                    f"non-triangular face ({len(refs)} vertices)", line=lineno
+                )
+            idx = []
+            for ref in refs:
+                head = ref.split("/", 1)[0]
+                try:
+                    value = int(head)
+                except ValueError as exc:
+                    raise MeshFormatError(
+                        f"bad face reference {ref!r}", line=lineno
+                    ) from exc
+                if value < 1:
+                    raise MeshFormatError(
+                        f"face index {value} must be positive (1-based)",
+                        line=lineno,
+                    )
+                idx.append(value - 1)
+            face_rows.append((lineno, (idx[0], idx[1], idx[2])))
+    if not vertex_rows:
+        raise MeshFormatError("no vertex lines found", line=1)
+    return vertex_rows, face_rows
+
+
+def reference_flatten(rows):
+    if len({len(coords) for _, coords in rows}) != 1:
+        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=rows[0][0])
+    coords = np.array([c for _, c in rows])
+    if coords.shape[1] == 3:
+        zs = coords[:, 2].tolist()
+        span = max(zs) - min(zs)
+        extent = max(1.0, float(np.abs(coords).max()))
+        if span > mesh_io.FLATTEN_Z_TOL * extent:
+            raise MeshFormatError(
+                f"3D mesh is not planar (z span {span:.3e}); only constant-z "
+                "inputs are flattened",
+                line=rows[0][0],
+            )
+    return coords[:, :2]
+
+
+def reference_build_model(vertex_rows, face_rows):
+    """(xy, faces, angles, dropped) of the model the per-line readers built."""
+    xy = reference_flatten(vertex_rows)
+    triangles = tuple(idx for _, idx in face_rows)
+    faces = np.array(triangles).reshape(len(triangles), 3)
+    outside = (faces < 0) | (faces >= len(xy))
+    if outside.any():
+        t = int(outside.any(axis=1).argmax())
+        raise MeshFormatError(
+            f"face index {triangles[t][int(outside[t].argmax())]} out of range "
+            f"(mesh has {len(xy)} vertices)",
+            line=face_rows[t][0],
+        )
+    faces = faces.astype(np.int64)
+    flat, angles = plane_geometry.measure_faces(xy, faces)
+    dropped = tuple(mesh_io.DegenerateFace(int(t), triangles[t]) for t in np.flatnonzero(flat))
+    if len(xy) < 3:
+        raise ValueError(f"mesh needs at least 3 vertices, got {len(xy)}")
+    return xy, faces[~flat], angles[~flat], dropped
+
+
+def load_outcome(load, path, fmt):
+    """What ``load`` makes of the file: the model's arrays and dropped faces
+    (arrays as dtype, shape and bytes), or the exception's type, text and line."""
+    try:
+        *arrays, dropped = load(path, fmt)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], dropped
+
+
+def bulk_load(path, fmt):
+    mesh = load_mesh(path, fmt)
+    return mesh.xy, mesh.faces, mesh.angles, mesh.dropped
+
+
+def reference_load(path, fmt):
+    read = {"off": reference_read_off, "obj": reference_read_obj}[fmt]
+    return reference_build_model(*read(path))
+
+
+BIG = "99999999999999999999"  # past int64
+
+# (format, text): what each case exercises is in its id
+READER_CASES = {
+    "crlf": ("off", MINIMAL_OFF.replace("\n", "\r\n")),
+    "crlf-bad-vertex": ("off", "OFF\r\n3 1 0\r\n0 0\r\n1 x\r\n0 1\r\n3 0 1 2\r\n"),
+    "lone-cr": ("off", "OFF\r3 1 0\r0 0\r1 0\r0 1\r3 0 1 9\r"),
+    "mixed-newlines": ("off", "OFF\r\n\r3 1 0\n\r\n0 0\r1 0\n0 1\r\n3 0 1 7"),
+    "no-final-newline": ("off", MINIMAL_OFF.rstrip("\n")),
+    "no-final-newline-bad": ("off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1"),
+    "mid-line-comments": ("off", "# m\nOFF # header\n3 1 0#counts\n0 0 # a\n1 0#\n#\n0 1\n3 0 1 2 # f\n"),
+    "comment-cuts-a-token": ("off", "OFF\n3 1 0\n0 0\n1 #0\n0 1\n3 0 1 2\n"),
+    "odd-whitespace": ("off", "OFF\n3\t1\t0\n0\x0c0\n1 0\n \x1c0\x851　\n3\t0 1\x0b2\n"),
+    "whitespace-only-lines": ("off", "OFF\n \t\n3 1 0\n\x0c\n0 0\n1 0\n \n0 1\n3 0 1 2\n"),
+    "mixed-2d-3d": ("off", "OFF\n3 1 0\n0 0\n1 0 0\n0 1\n3 0 1 2\n"),
+    "mixed-2d-3d-then-bad-face": ("off", "OFF\n3 1 0\n0 0\n1 0 0\n0 1\n4 0 1 2\n"),
+    "planar-3d": ("off", "OFF\n3 1 0\n0 0 2.5\n1 0 2.5\n0 1 2.5\n3 0 1 2\n"),
+    "non-planar-z": ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 1e-3\n3 0 1 2\n"),
+    "four-vertex-tokens": ("off", "OFF\n3 1 0\n0 0 0 0\n1 0\n0 1\n3 0 1 2\n"),
+    "extra-face-tokens": ("off", "OFF\n4 2 0\n0 0\n1 0\n0 1\n1 1\n3 0 1 2 255 0 0\n3 1 3 2 0.5\n"),
+    "short-face": ("off", "OFF\n4 2 0\n0 0\n1 0\n0 1\n1 1\n3 0 1 2\n3 1 3\n"),
+    "quad-face": ("off", "OFF\n4 1 0\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"),
+    "bad-face-index": ("off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2.0\n"),
+    "index-past-int64": ("off", f"OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 {BIG}\n"),
+    "negative-index-past-int64": ("off", f"OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 -{BIG} {BIG}\n"),
+    "index-2**63": ("off", f"OFF\n3 2 0\n0 0\n1 0\n0 1\n3 0 1 2\n3 0 1 {2**63}\n"),
+    "small-index-before-past-int64": ("off", f"OFF\n3 2 0\n0 0\n1 0\n0 1\n3 0 1 5\n3 0 {BIG} 2\n"),
+    "underscores": ("off", "OFF\n3 1 0\n0 0\n1_0 0\n0 1_0\n3 0 1 0_2\n"),
+    "unicode-digits": ("off", "OFF\n٣ ١ ٠\n٠ ٠\n١ 0\n0 ١\n3 ٠ ١ ٢\n"),
+    "nan-vertex": ("off", "OFF\n3 1 0\n0 0\nnan 0\n0 1\n3 0 1 2\n"),
+    "inf-vertex": ("off", "OFF\n3 1 0\n0 0\n1 0\n0 -inf\n3 0 1 2\n"),
+    "float-past-range": ("off", "OFF\n3 1 0\n0 0\n1e400 0\n0 1\n3 0 1 2\n"),
+    "zero-faces": ("off", "OFF\n3 0 0\n0 0\n1 0\n0 1\n"),
+    "two-vertices": ("off", "OFF\n2 0 0\n0 0\n1 0\n"),
+    "trailing-lines-ignored": ("off", MINIMAL_OFF + "garbage here\n"),
+    "collinear-dropped": ("off", DROPPED_FACE_OFF),
+    "overflow": ("off", "OFF\n4 2 0\n0 0\n1 0\n0 1\n1e200 0\n3 0 1 2\n3 0 3 2\n"),
+    "obj-slashes": ("obj", OBJ_WITH_SLASHES),
+    "obj-refs": ("obj", "v 0 0\nv 1 0\nv 0 1\nvt 0 0\nf 1/1 2// 3/2/1\n"),
+    "obj-face-error-before-vertex-mix": ("obj", "v 0 0\nf 1 2 x\nv 1 0 0\nv 0 1\n"),
+    "obj-vertex-error-before-face-error": ("obj", "v 0 0\nv 1 zero\nf 1 2 x\nv 0 1\n"),
+    "obj-mixed-2d-3d": ("obj", "v 0 0\nv 1 0 0\nv 0 1\nf 1 2 3\n"),
+    "obj-no-vertices": ("obj", "o empty\nf 1 2 3\n"),
+    "obj-no-vertices-bad-face": ("obj", "f 1 2\n"),
+    "obj-bare-v": ("obj", "v\nv 1 0\nv 0 1\nf 1 2 3\n"),
+    "obj-index-zero": ("obj", "v 0 0\nv 1 0\nv 0 1\nf 0 1 2\n"),
+    "obj-index-past-int64": ("obj", f"v 0 0\nv 1 0\nv 0 1\nf 1 2 {BIG}\n"),
+    "obj-index-out-of-range": ("obj", "v 0 0\nv 1 0\nv 0 1\nf 1 2 4\n"),
+    "obj-quad": ("obj", "v 0 0\nv 1 0\nv 1 1\nv 0 1\nf 1 2 3 4\n"),
+    "obj-no-faces": ("obj", "v 0 0\nv 1 0\nv 0 1\n"),
+    "obj-crlf-comments": ("obj", "v 0 0 # a\r\nv 1 0\r\n# f 9 9 9\r\nv 0 1\r\nf 1 2 3#\r\n"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_bulk_readers_match_per_line_readers(tmp_path):
+    # the 500 fuzz streams of the CLI fuzz test, then the targeted cases
+    rng = random.Random(5)
+    cases = [(("off", "obj")[i % 2], None) for i in range(500)]
+    cases = [(fmt, fuzz_text(rng, fmt)) for fmt, _ in cases] + list(READER_CASES.values())
+    outcomes = Counter()
+    for fmt, text in cases:
+        path = tmp_path / f"m.{fmt}"
+        path.write_bytes(text.encode())
+        bulk, reference = load_outcome(bulk_load, path, fmt), load_outcome(reference_load, path, fmt)
+        assert bulk == reference, (fmt, text)
+        outcomes[bulk[0] if isinstance(bulk[0], type) else "loaded"] += 1
+    assert outcomes["loaded"] > 20 and outcomes[MeshFormatError] > 100, outcomes
+
+
+def test_reader_cases_reach_their_branches(tmp_path):
+    # each targeted case ends where its id says, so the comparison above covers it
+    def outcome(case):
+        fmt, text = READER_CASES[case]
+        path = tmp_path / f"m.{fmt}"
+        path.write_bytes(text.encode())
+        return load_outcome(bulk_load, path, fmt)
+
+    assert outcome("lone-cr")[1:] == ("line 6: face index 9 out of range (mesh has 3 vertices)", 6)
+    assert outcome("mixed-newlines")[1:] == (
+        "line 8: face index 7 out of range (mesh has 3 vertices)", 8
+    )
+    assert outcome("crlf-bad-vertex")[2] == 4
+    assert outcome("comment-cuts-a-token")[1].startswith("line 4: vertex line must have 2 or 3")
+    assert outcome("mixed-2d-3d-then-bad-face")[1] == "line 6: non-triangular face (vertex count 4)"
+    assert outcome("index-past-int64")[1] == f"line 6: face index {BIG} out of range (mesh has 3 vertices)"
+    assert outcome("negative-index-past-int64")[1].startswith(f"line 6: face index -{BIG}")
+    assert outcome("small-index-before-past-int64")[1].startswith("line 6: face index 5")
+    assert outcome("obj-face-error-before-vertex-mix")[1] == "line 2: bad face reference 'x'"
+    assert outcome("obj-no-vertices")[1] == "line 1: no vertex lines found"
+    assert outcome("obj-index-past-int64")[1].startswith(f"line 4: face index {int(BIG) - 1}")
+    for case in ("odd-whitespace", "underscores", "unicode-digits", "extra-face-tokens", "zero-faces"):
+        assert isinstance(outcome(case)[0], list), case
+    assert outcome("two-vertices")[:2] == (ValueError, "mesh needs at least 3 vertices, got 2")
