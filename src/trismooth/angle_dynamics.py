@@ -82,6 +82,20 @@ class AngleTriple:
         return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
 
 
+def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """AngleTriple's sum repair over (F, 3) angles: the angles as AngleTriple
+    stores them, scaled to sum to pi, and each face's quality (F,).  A sum
+    AngleTriple would reject raises its ValueError, for the first such face."""
+    total = raw[:, 0] + raw[:, 1] + raw[:, 2]
+    far = ~(np.abs(total - PI) <= SUM_REPAIR_TOL)  # NaN and inf are far too
+    if far.any():
+        got = total[far.argmax()].item()
+        raise ValueError(f"triangle angles must sum to pi, got {got!r}")
+    # a total of exactly pi gives a scale of exactly 1, as AngleTriple skips it
+    angles = raw * (PI / total)[:, None]
+    return angles, angle_ratio(*angles.T)
+
+
 EQUILATERAL = AngleTriple(THIRD_PI, THIRD_PI, THIRD_PI)
 
 
@@ -265,6 +279,12 @@ def predict_quality(
     return QualityValue(
         angle_ratio(*[after_steps(x, THIRD_PI, n) for x in t.as_tuple()])
     )
+
+
+def _predicted_quality(angles: np.ndarray, n: int) -> np.ndarray:
+    """predict_quality's deviation form over (F, 3) angles, for n >= 1: the
+    quality (F,) of each face after ``n`` steps."""
+    return angle_ratio(*after_steps(angles, THIRD_PI, n).T)
 
 
 def convergence_rate_check(t: AngleTriple, k: int) -> float:

@@ -5,9 +5,10 @@ Exit codes: 0 success, 2 invalid input, 3 I/O or file-format failure,
 4 numerical failure (a mesh transformation step degenerated, a float
 overflowed or underflowed, or memory ran out).
 
-Each ``cmd_*`` returns ``(document, lines)``: the ``--json`` document (or
-its JSON text) and the text lines.  ``main`` prints one of them; nothing
-else here prints except ``_fail``.
+Each ``cmd_*`` returns ``(document, text)``: the ``--json`` document (a
+dict, or its JSON text in chunks) and a function that builds the text
+lines.  ``main`` prints one of them and builds only what it prints;
+nothing else here prints except ``_fail``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from .angle_dynamics import (
     STEP_CLAMP,
@@ -58,7 +60,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-Result = tuple[object, list[str]]
+Result = tuple[object, Callable[[], list[str]]]
 
 
 def _fail(message: object, code: int) -> int:
@@ -184,19 +186,17 @@ def cmd_iterate(args: argparse.Namespace) -> Result:
             }
         )
     fmt_a = "{:.4f}" if args.degrees else "{:.6f}"
-    table = _table(
-        entries,
-        [
-            ("step", "step", "{}"),
-            ("alpha", "alpha", fmt_a),
-            ("beta", "beta", fmt_a),
-            ("gamma", "gamma", fmt_a),
-            ("quality", "quality", "{:.6f}"),
-            ("growth", "growth_factor", "{:.4f}"),
-            ("dev_ratio2", "deviation_ratio2", "{:.6f}"),
-        ],
-    )
-    return {"unit": _unit(args), "steps": entries}, [f"angles in {_unit(args)}"] + table
+    columns = [
+        ("step", "step", "{}"),
+        ("alpha", "alpha", fmt_a),
+        ("beta", "beta", fmt_a),
+        ("gamma", "gamma", fmt_a),
+        ("quality", "quality", "{:.6f}"),
+        ("growth", "growth_factor", "{:.4f}"),
+        ("dev_ratio2", "deviation_ratio2", "{:.6f}"),
+    ]
+    doc = {"unit": _unit(args), "steps": entries}
+    return doc, lambda: [f"angles in {_unit(args)}", *_table(entries, columns)]
 
 
 def cmd_predict(args: argparse.Namespace) -> Result:
@@ -210,7 +210,7 @@ def cmd_predict(args: argparse.Namespace) -> Result:
         if args.alt_even:
             entry["alt_even_quality"] = predict_quality(t, n, alt_even=True).q
         entries.append(entry)
-    return {"predictions": entries}, _table(entries, columns)
+    return {"predictions": entries}, lambda: _table(entries, columns)
 
 
 def cmd_construct(args: argparse.Namespace) -> Result:
@@ -234,22 +234,21 @@ def cmd_construct(args: argparse.Namespace) -> Result:
                 "quality": quality(ang).q,
             }
         )
-    lines = [f"angles in {_unit(args)}"] + _table(
-        entries,
-        [
-            ("step", "step", "{}"),
-            ("alpha", "angles", "{[0]:.6f}"),
-            ("beta", "angles", "{[1]:.6f}"),
-            ("gamma", "angles", "{[2]:.6f}"),
-            ("area", "area", "{:.6g}"),
-            ("quality", "quality", "{:.6f}"),
-        ],
-    )
+    written = []
     if args.svg:
         vertices = [Point2(*xy) for e in entries for xy in e["vertices"]]
         triangles = [(3 * n, 3 * n + 1, 3 * n + 2) for n in range(len(entries))]
-        lines.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
-    return {"unit": _unit(args), "rescale": args.rescale, "steps": entries}, lines
+        written.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
+    columns = [
+        ("step", "step", "{}"),
+        ("alpha", "angles", "{[0]:.6f}"),
+        ("beta", "angles", "{[1]:.6f}"),
+        ("gamma", "angles", "{[2]:.6f}"),
+        ("area", "area", "{:.6g}"),
+        ("quality", "quality", "{:.6f}"),
+    ]
+    doc = {"unit": _unit(args), "rescale": args.rescale, "steps": entries}
+    return doc, lambda: [f"angles in {_unit(args)}", *_table(entries, columns), *written]
 
 
 def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
@@ -279,24 +278,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     ]
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
-    lines = [
-        f"fan mesh with {n} triangles",
-        f"correction terms: k_alpha={k.k_alpha:.12g} "
-        f"k_beta={k.k_beta:.12g} k_gamma={k.k_gamma:.12g}",
-        *_table(
-            entries,
-            [
-                ("step", "step", "{}"),
-                ("mesh_q", "mesh_q", "{:.9f}"),
-                ("q_min", "q_min", "{:.9f}"),
-                ("q_max", "q_max", "{:.9f}"),
-                ("residual", "max_residual", "{:.3e}"),
-            ],
-        ),
-        f"reconstruction residuals: radius={residual.radius:.3e} "
-        f"turn={residual.turn:.3e}",
-    ]
-    svg_line = None
+    written = []
     if args.svg:
         # draw the final fan with the starting fan's area
         start_geom, _ = reconstruct_geometry(mesh, 1.0)
@@ -304,12 +286,31 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
         geometry, _ = reconstruct_geometry(final, radius)
         vertices = (geometry.inner_vertex,) + geometry.boundary
         triangles = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
-        svg_line = _write_svg(args, args.svg, MeshModel(vertices, triangles))
+        written.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
     if args.output:
         save_mesh_angles(final, args.output)
-        lines.append(f"wrote {args.output}")
-    if svg_line:
-        lines.append(svg_line)
+        written.insert(0, f"wrote {args.output}")
+
+    def text() -> list[str]:
+        return [
+            f"fan mesh with {n} triangles",
+            f"correction terms: k_alpha={k.k_alpha:.12g} "
+            f"k_beta={k.k_beta:.12g} k_gamma={k.k_gamma:.12g}",
+            *_table(
+                entries,
+                [
+                    ("step", "step", "{}"),
+                    ("mesh_q", "mesh_q", "{:.9f}"),
+                    ("q_min", "q_min", "{:.9f}"),
+                    ("q_max", "q_max", "{:.9f}"),
+                    ("residual", "max_residual", "{:.3e}"),
+                ],
+            ),
+            f"reconstruction residuals: radius={residual.radius:.3e} "
+            f"turn={residual.turn:.3e}",
+            *written,
+        ]
+
     doc = {
         "n": n,
         "correction_terms": vars(k),
@@ -320,7 +321,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
             "turn_residual": residual.turn,
         },
     }
-    return doc, lines
+    return doc, text
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
@@ -332,26 +333,28 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
         if path:
             write(path)
             written.append(f"wrote {path}")
-    # under --json main prints only the column writer's JSON text: build no lines
-    if args.json:
-        return "".join(report.json_chunks()), written
-    s = report.summary
-    lines = [
-        f"{s.count} triangles: q min {s.q_min:.6f}, "
-        f"max {s.q_max:.6f}, mean {s.q_mean:.6f}"
-    ]
-    if report.dropped:
-        lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
-    template = "  triangle %d: q=%.6f"
-    template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
-    lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
-    return None, lines + written
+
+    def text() -> list[str]:
+        s = report.summary
+        lines = [
+            f"{s.count} triangles: q min {s.q_min:.6f}, "
+            f"max {s.q_max:.6f}, mean {s.q_mean:.6f}"
+        ]
+        if report.dropped:
+            lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
+        template = "  triangle %d: q=%.6f"
+        template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
+        lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
+        return lines + written
+
+    return report.json_chunks(), text
 
 
 def cmd_render(args: argparse.Namespace) -> Result:
     if args.out is None:
         raise ValueError("--out is required")
-    return None, [_write_svg(args, args.out, load_mesh(args.mesh, args.format))]
+    line = _write_svg(args, args.out, load_mesh(args.mesh, args.format))
+    return None, lambda: [line]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +453,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _apply_config(args)
             args = parser.parse_args(argv)
-        document, lines = args.func(args)
+        document, text = args.func(args)
+        if args.json:
+            # chunk by chunk, so the whole JSON text is never held at once
+            chunks = [json.dumps(document, indent=2)] if isinstance(document, dict) else document
+            sys.stdout.writelines(chunks)
+            sys.stdout.write("\n")
+        else:
+            print(*text(), sep="\n")
     except (MeshFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return _fail(exc, EXIT_IO)
     except ValueError as exc:
@@ -460,10 +470,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""  # a bare MemoryError has no message
         return _fail(f"out of memory{detail}", EXIT_NUMERIC)
-    if args.json and not isinstance(document, str):  # a str is JSON text already
-        document = json.dumps(document, indent=2)
-    output = [document] if args.json else lines
-    print(*output, sep="\n")
     return EXIT_OK
 
 

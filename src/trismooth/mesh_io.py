@@ -12,7 +12,6 @@ per triangle.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -20,14 +19,7 @@ from itertools import compress, starmap
 
 import numpy as np
 
-from .angle_dynamics import (
-    PI,
-    SUM_REPAIR_TOL,
-    THIRD_PI,
-    AngleTriple,
-    after_steps,
-    angle_ratio,
-)
+from .angle_dynamics import AngleTriple, _predicted_quality, _repaired_quality
 from .plane_geometry import Point2, TrianglePoints, block_rows, measure_faces
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
@@ -142,8 +134,10 @@ class MeshModel:
 
 # A reader hands on blocks of lines: the significant lines of a file (its
 # text with # comments cut, holding more than whitespace) and their 1-based
-# line numbers.  Each block is parsed in bulk; when a bulk check fails, the
-# per-line checks run over the lines only to name the first bad one.
+# line numbers.  A block parser checks its lines' rules in the order a
+# line-by-line reader would and raises MeshFormatError without a line
+# number; ``_first_bad_line`` runs it again to name the line.  So some line
+# of a block fails on its own whenever its parser raises.
 Block = tuple[list[str], list[int]]
 
 
@@ -157,29 +151,20 @@ def _significant_lines(path) -> Block:
 
 def _coordinates(lines: list[str]) -> np.ndarray | None:
     """(V, k) floats of vertex lines holding k = 2 or 3 finite floats each;
-    None if a line fails ``_vertex_row`` or the lines mix 2D and 3D."""
-    counts = set(map(len, map(str.split, lines)))
-    if len(counts) != 1 or not counts <= {2, 3}:
-        return None
-    k = counts.pop()
+    None if there are no lines or they mix 2D and 3D, which no line shows alone."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    bad = (counts < 2) | (counts > 3)
+    if bad.any():
+        raise MeshFormatError(f"vertex line must have 2 or 3 floats, got {counts[bad.argmax()]}")
     try:
-        coords = np.fromiter(map(float, " ".join(lines).split()), float, k * len(lines))
-    except ValueError:
-        return None
-    return coords.reshape(-1, k) if np.isfinite(coords).all() else None
-
-
-def _vertex_row(tokens: list[str], lineno: int) -> None:
-    if len(tokens) not in (2, 3):
-        raise MeshFormatError(
-            f"vertex line must have 2 or 3 floats, got {len(tokens)}", line=lineno
-        )
-    try:
-        values = tuple(float(tok) for tok in tokens)
+        coords = np.fromiter(map(float, " ".join(lines).split()), float, counts.sum())
     except ValueError as exc:
-        raise MeshFormatError(f"bad vertex: {exc}", line=lineno) from exc
-    if not all(math.isfinite(v) for v in values):
-        raise MeshFormatError("non-finite vertex", line=lineno)
+        raise MeshFormatError(f"bad vertex: {exc}") from exc
+    if not np.isfinite(coords).all():
+        raise MeshFormatError("non-finite vertex")
+    if not lines or counts.min() != counts.max():
+        return None
+    return coords.reshape(-1, counts[0])
 
 
 def _flatten(coords: np.ndarray, lineno: int) -> np.ndarray:
@@ -205,38 +190,21 @@ def _index_array(values) -> np.ndarray:
         return np.array(values, dtype=object).reshape(-1, 3)
 
 
-def _indices(tokens: list[str]) -> np.ndarray | None:
-    """``int`` of each token, three per face; None if a token is not an int."""
-    try:
-        return _index_array(list(map(int, tokens)))
-    except ValueError:
-        return None
-
-
-def _off_faces(lines: list[str]) -> np.ndarray | None:
+def _off_faces(lines: list[str]) -> np.ndarray:
     """(F, 3) vertex indices of OFF face lines ``3 i j k`` (later tokens,
-    such as colors, are ignored); None if a line fails ``_off_face_row``."""
+    such as colors, are ignored)."""
     counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    if (counts < 4).any():
-        return None
     tokens = np.array(" ".join(lines).split(), dtype=object)
     first = np.cumsum(counts) - counts  # each line's first token
-    if not (tokens[first] == "3").all():
-        return None
-    return _indices(tokens[first[:, None] + (1, 2, 3)].ravel().tolist())
-
-
-def _off_face_row(tokens: list[str], lineno: int) -> None:
-    if tokens[0] != "3":
-        raise MeshFormatError(
-            f"non-triangular face (vertex count {tokens[0]})", line=lineno
-        )
-    if len(tokens) < 4:
-        raise MeshFormatError("face line needs 3 vertex indices", line=lineno)
+    heads = tokens[first]
+    if not (heads == "3").all():
+        raise MeshFormatError(f"non-triangular face (vertex count {heads[heads != '3'][0]})")
+    if (counts < 4).any():
+        raise MeshFormatError("face line needs 3 vertex indices")
     try:
-        int(tokens[1]), int(tokens[2]), int(tokens[3])
+        return _index_array(list(map(int, tokens[first[:, None] + (1, 2, 3)].ravel().tolist())))
     except ValueError as exc:
-        raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
+        raise MeshFormatError(f"bad face index: {exc}") from exc
 
 
 def _read_off(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
@@ -269,30 +237,22 @@ def _read_off(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
     return (lines[v], numbers[v]), (lines[f], numbers[f])
 
 
-def _obj_faces(lines: list[str]) -> np.ndarray | None:
+def _obj_faces(lines: list[str]) -> np.ndarray:
     """(F, 3) 0-based vertex indices of OBJ face references (``i``, ``i/j``,
-    ``i/j/k``; 1-based in the file); None if a line fails ``_obj_face_row``."""
-    if any(len(line.split()) != 3 for line in lines):
-        return None
-    faces = _indices([ref.partition("/")[0] for ref in " ".join(lines).split()])
-    if faces is None or not (faces >= 1).all():
-        return None
-    return faces - 1
-
-
-def _obj_face_row(refs: list[str], lineno: int) -> None:
-    if len(refs) != 3:
-        raise MeshFormatError(f"non-triangular face ({len(refs)} vertices)", line=lineno)
-    for ref in refs:
-        head = ref.split("/", 1)[0]
+    ``i/j/k``; 1-based in the file), three per line."""
+    bad = [n for n in map(len, map(str.split, lines)) if n != 3]
+    if bad:
+        raise MeshFormatError(f"non-triangular face ({bad[0]} vertices)")
+    indices = []
+    for ref in " ".join(lines).split():
         try:
-            value = int(head)
+            value = int(ref.partition("/")[0])
         except ValueError as exc:
-            raise MeshFormatError(f"bad face reference {ref!r}", line=lineno) from exc
+            raise MeshFormatError(f"bad face reference {ref!r}") from exc
         if value < 1:
-            raise MeshFormatError(
-                f"face index {value} must be positive (1-based)", line=lineno
-            )
+            raise MeshFormatError(f"face index {value} must be positive (1-based)")
+        indices.append(value)
+    return _index_array(indices) - 1
 
 
 def _read_obj(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
@@ -300,26 +260,35 @@ def _read_obj(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
     every other directive (vn, vt, o, g, s, usemtl, ...) is ignored."""
     blocks = {"v": ([], []), "f": ([], [])}
     for line, lineno in zip(lines, numbers):
-        key, *rest = line.split(None, 1)
-        if key in blocks:
-            blocks[key][0].append(rest[0] if rest else "")
-            blocks[key][1].append(lineno)
+        parts = line.split(None, 1)  # the directive, then the rest if there is any
+        block = blocks.get(parts[0])
+        if block:
+            block[0].append(parts[1] if len(parts) == 2 else "")
+            block[1].append(lineno)
     return blocks["v"], blocks["f"]
 
 
-_FORMATS = {
-    "off": (_read_off, _off_faces, _off_face_row),
-    "obj": (_read_obj, _obj_faces, _obj_face_row),
-}
+_FORMATS = {"off": (_read_off, _off_faces), "obj": (_read_obj, _obj_faces)}
 
 
-def _name_first_bad_line(vertices: Block, faces: Block, face_row) -> None:
-    """Run the per-line checks over every vertex and face line in file
-    order; the first line that fails raises its MeshFormatError."""
-    checks = [(n, _vertex_row, line) for line, n in zip(*vertices)]
-    checks += [(n, face_row, line) for line, n in zip(*faces)]
-    for lineno, check, line in sorted(checks, key=lambda c: c[0]):
-        check(line.split(), lineno)
+def _first_bad_line(parse, block: Block) -> MeshFormatError | None:
+    """The error of the first line of ``block`` that ``parse`` rejects on
+    its own, naming that line; None if there is none.  The block is parsed
+    in 64 slices, and each slice ``parse`` rejects is searched the same
+    way, down to single lines: a line alone costs a block parser's setup."""
+    lines, numbers = block
+    size = max(1, -(-len(lines) // 64))
+    for start in range(0, len(lines), size):
+        part = slice(start, start + size)
+        try:
+            parse(lines[part])
+        except MeshFormatError as exc:
+            if size == 1:
+                return MeshFormatError(str(exc), line=numbers[start])
+            found = _first_bad_line(parse, (lines[part], numbers[part]))
+            if found is not None:
+                return found
+    return None
 
 
 def _build_model(xy: np.ndarray, faces: np.ndarray, numbers: list[int]) -> MeshModel:
@@ -364,11 +333,13 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
         fmt = suffix
     if fmt.lower() not in _FORMATS:
         raise ValueError(f"unsupported mesh format {fmt!r} (use 'off' or 'obj')")
-    read, parse_faces, face_row = _FORMATS[fmt.lower()]
+    read, parse_faces = _FORMATS[fmt.lower()]
     vertices, faces = read(*_significant_lines(path))
-    coords, indices = _coordinates(vertices[0]), parse_faces(faces[0])
-    if coords is None or indices is None:
-        _name_first_bad_line(vertices, faces, face_row)
+    try:
+        coords, indices = _coordinates(vertices[0]), parse_faces(faces[0])
+    except MeshFormatError:
+        named = [_first_bad_line(_coordinates, vertices), _first_bad_line(parse_faces, faces)]
+        raise min(filter(None, named), key=lambda e: e.line) from None
     if not vertices[0]:
         raise MeshFormatError("no vertex lines found", line=1)
     if coords is None:  # every line passed its own check
@@ -520,8 +491,7 @@ def analyze(
     angles, q = _repaired_quality(mesh.angles)
     predicted = np.empty((len(q), len(steps)))
     for i, s in enumerate(steps):
-        # predict_quality's deviation form, over all faces at once
-        predicted[:, i] = angle_ratio(*after_steps(angles, THIRD_PI, s).T) if s else q
+        predicted[:, i] = _predicted_quality(angles, s) if s else q
     counts, edges = np.histogram(q, bins=bins, range=(0.0, 1.0))
     summary = QualitySummary(
         count=len(q),
@@ -534,20 +504,6 @@ def analyze(
     return QualityReport(
         steps, mesh.angles, angles, q, predicted, summary, mesh.dropped
     )
-
-
-def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (F, 3) as AngleTriple stores them, scaled to sum to pi, and
-    each face's quality (F,).  A sum AngleTriple would reject raises its
-    ValueError, for the first such face."""
-    total = raw[:, 0] + raw[:, 1] + raw[:, 2]
-    far = ~(np.abs(total - PI) <= SUM_REPAIR_TOL)  # NaN and inf are far too
-    if far.any():
-        got = total[far.argmax()].item()
-        raise ValueError(f"triangle angles must sum to pi, got {got!r}")
-    # a total of exactly pi gives a scale of exactly 1, as AngleTriple skips it
-    angles = raw * (PI / total)[:, None]
-    return angles, angle_ratio(*angles.T)
 
 
 def _parse_hex_color(text: str) -> tuple[int, int, int]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import io
 import json
 import math
 import os
@@ -481,6 +482,32 @@ def test_analyze_json_builds_no_text_lines(capsys, tmp_path, monkeypatch):
     assert templates == Counter({"json": 1, "text": 1})
 
 
+def test_analyze_json_is_written_in_pieces(tmp_path, monkeypatch):
+    # main writes the document chunk by chunk, so no write holds all of it
+    cells = 65  # 2 * 65**2 = 8450 faces, past two blocks of 4096
+    n = cells + 1
+    corners = [r * n + c for r in range(cells) for c in range(cells)]
+    text = f"OFF\n{n * n} {2 * len(corners)} 0\n"
+    text += "".join(f"{i % n} {i // n}\n" for i in range(n * n))
+    text += "".join(f"3 {a} {a + 1} {a + n}\n3 {a + 1} {a + n + 1} {a + n}\n" for a in corners)
+    mesh = tmp_path / "grid.off"
+    mesh.write_text(text)
+
+    class Recorder(io.StringIO):
+        largest = 0
+
+        def write(self, text):
+            self.largest = max(self.largest, len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["analyze", str(mesh), "--steps", "1,2,4", "--json"]) == 0
+    document = out.getvalue()
+    assert json.loads(document)["summary"]["count"] == 2 * len(corners)
+    assert 0 < out.largest < len(document) / 2
+
+
 def test_analyze_missing_file_is_io_error(capsys, tmp_path):
     code, _, _ = run(capsys, ["analyze", str(tmp_path / "absent.off")])
     assert code == 3
@@ -662,21 +689,30 @@ SCALE_FACES = ((0, 1, 2), (1, 3, 2))
 
 def scaled_mesh_runs(capsys, tmp_path, scale):
     """``analyze --json`` and ``render`` of SCALE_MESH scaled by ``scale``,
-    written with %.17g: each run's code, stdout and stderr, and what it
-    computed (the faces' angles and qualities, the SVG's fills)."""
+    written with %.17g as OFF and as OBJ, then ``construct --json`` of its
+    first face: each run's code, stdout and stderr, and what it computed
+    (the faces' angles and qualities, the SVG's fills)."""
     points = [(x * scale, y * scale) for x, y in SCALE_MESH]
-    mesh, svg = tmp_path / "s.off", tmp_path / "s.svg"
-    svg.unlink(missing_ok=True)
+    off, obj, svg = tmp_path / "s.off", tmp_path / "s.obj", tmp_path / "s.svg"
     text = f"OFF\n{len(points)} {len(SCALE_FACES)} 0\n"
     text += "".join("%.17g %.17g\n" % p for p in points)
-    mesh.write_text(text + "".join("3 %d %d %d\n" % f for f in SCALE_FACES))
-    code, out, err = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
-    faces = json.loads(out)["triangles"] if code == 0 else []
-    angles = [[f["alpha"], f["beta"], f["gamma"], f["q"], *f["predicted"].values()] for f in faces]
-    analyzed = (code, out, err, angles)
-    code, out, err = run(capsys, ["render", str(mesh), "--out", str(svg)])
-    fills = svg.read_text().split('fill="')[1:] if code == 0 else []
-    return analyzed, (code, out, err, [f[:7] for f in fills])
+    off.write_text(text + "".join("3 %d %d %d\n" % f for f in SCALE_FACES))
+    text = "".join("v %.17g %.17g\n" % p for p in points)
+    obj.write_text(text + "".join("f %d %d %d\n" % (i + 1, j + 1, k + 1) for i, j, k in SCALE_FACES))
+    runs = []
+    for mesh in (off, obj):
+        svg.unlink(missing_ok=True)
+        code, out, err = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
+        faces = json.loads(out)["triangles"] if code == 0 else []
+        angles = [[f["alpha"], f["beta"], f["gamma"], f["q"], *f["predicted"].values()] for f in faces]
+        runs.append((code, out, err, angles))
+        code, out, err = run(capsys, ["render", str(mesh), "--out", str(svg)])
+        fills = svg.read_text().split('fill="')[1:] if code == 0 else []
+        runs.append((code, out, err, [f[:7] for f in fills]))
+    first = ",".join("%.17g" % v for i in SCALE_FACES[0] for v in points[i])
+    code, out, err = run(capsys, ["construct", "--points", first, "--steps", "0", "--json"])
+    angles = json.loads(out)["steps"][0]["angles"] if code == 0 else []
+    return runs, (code, out, err, angles)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -689,16 +725,18 @@ def test_mesh_scale_keeps_angles_or_is_numeric_error(capsys, tmp_path, exponent)
     # the angles of a mesh do not depend on its scale, up to where a squared
     # edge leaves the float range: there the answer is exit 4, one error line
     scale = 10.0**exponent
-    unit = scaled_mesh_runs(capsys, tmp_path, 1.0)
-    scaled = scaled_mesh_runs(capsys, tmp_path, scale)
+    unit_runs, unit_construct = scaled_mesh_runs(capsys, tmp_path, 1.0)
+    runs, construct = scaled_mesh_runs(capsys, tmp_path, scale)
     points = [(x * scale, y * scale) for x, y in SCALE_MESH]
     longest = [
         max(math.dist(points[a], points[b]) for a, b in ((i, j), (j, k), (k, i)))
         for i, j, k in SCALE_FACES
     ]
-    leaves = any(d * d == math.inf or (d * d < sys.float_info.min and d > 0) for d in longest)
-    for (code, out, err, computed), (_, _, _, expected) in zip(scaled, unit):
-        if leaves:
+    leaves = [d * d == math.inf or (d * d < sys.float_info.min and d > 0) for d in longest]
+    cases = [(got, unit, any(leaves)) for got, unit in zip(runs, unit_runs)]
+    cases.append((construct, unit_construct, leaves[0]))  # construct draws face 0 only
+    for (code, out, err, computed), (_, _, _, expected), leaving in cases:
+        if leaving:
             assert (code, out, computed) == (4, "", []), (scale, err)
             assert err.startswith("error: squared edge length") and len(err.splitlines()) == 1
         else:

@@ -175,6 +175,21 @@ def test_cli_output_matches_golden(golden, tmp_path, name):
     assert got["files"] == expected["files"]
 
 
+def test_json_cases_build_no_text(golden, tmp_path, monkeypatch):
+    # under --json main prints only the document, so no command builds its table
+    def refuse(*args):
+        raise AssertionError("a text table was built under --json")
+
+    monkeypatch.setattr(cli, "_table", refuse)
+    names = [name for name in sorted(CASES) if "--json" in CASES[name]]
+    assert len(names) >= 5
+    for name in names:
+        directory = tmp_path / name
+        directory.mkdir()
+        got = run_case(CASES[name], directory)
+        assert got == {key: golden[name][key] for key in got}, name
+
+
 def regenerate() -> None:
     doc = {}
     for name, argv in CASES.items():

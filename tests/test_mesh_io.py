@@ -911,6 +911,21 @@ def reference_load(path, fmt):
 
 BIG = "99999999999999999999"  # past int64
 
+
+def big_off(vertex_lines, face_lines):
+    """OFF text of 5000 vertex and 5000 face lines, more than a 4096-line
+    block each, with the lines at the given indices replaced."""
+    vertices = [vertex_lines.get(i, f"{i} {i * i % 7}") for i in range(5000)]
+    faces = [face_lines.get(i, "3 0 1 2") for i in range(5000)]
+    return "\n".join(["OFF", "5000 5000 0", *vertices, *faces]) + "\n"
+
+
+def big_obj(lines):
+    """OBJ text of 6000 lines, ``v`` and ``f`` in turn, with the lines at
+    the given (0-based) indices replaced."""
+    body = [f"v {i} {i * i % 7}" if i % 2 == 0 else "f 1 2 3" for i in range(6000)]
+    return "\n".join(lines.get(i, line) for i, line in enumerate(body)) + "\n"
+
 # (format, text): what each case exercises is in its id
 READER_CASES = {
     "crlf": ("off", MINIMAL_OFF.replace("\n", "\r\n")),
@@ -960,6 +975,11 @@ READER_CASES = {
     "obj-quad": ("obj", "v 0 0\nv 1 0\nv 1 1\nv 0 1\nf 1 2 3 4\n"),
     "obj-no-faces": ("obj", "v 0 0\nv 1 0\nv 0 1\n"),
     "obj-crlf-comments": ("obj", "v 0 0 # a\r\nv 1 0\r\n# f 9 9 9\r\nv 0 1\r\nf 1 2 3#\r\n"),
+    "big-bad-faces-late": ("off", big_off({}, {4321: "3 0 1 x", 4900: "4 0 1 2 3"})),
+    "big-bad-vertices-late": ("off", big_off({3000: "1 nan", 4000: "1"}, {10: "3 0 x 2"})),
+    "big-mixed-2d-3d": ("off", big_off({2500: "0 0 0"}, {})),
+    "big-mixed-2d-3d-then-bad-face": ("off", big_off({2500: "0 0 0"}, {4999: "3 0 1"})),
+    "big-obj-face-before-vertex": ("obj", big_obj({5001: "f -1 x 2", 5500: "v 1 x"})),
 }
 
 
@@ -1003,3 +1023,13 @@ def test_reader_cases_reach_their_branches(tmp_path):
     for case in ("odd-whitespace", "underscores", "unicode-digits", "extra-face-tokens", "zero-faces"):
         assert isinstance(outcome(case)[0], list), case
     assert outcome("two-vertices")[:2] == (ValueError, "mesh needs at least 3 vertices, got 2")
+    # past one 4096-line block, the bad line is found inside the block that fails
+    assert outcome("big-bad-faces-late")[1:] == (
+        "line 9324: bad face index: invalid literal for int() with base 10: 'x'", 9324
+    )
+    assert outcome("big-bad-vertices-late")[1:] == ("line 3003: non-finite vertex", 3003)
+    assert outcome("big-mixed-2d-3d")[1:] == ("line 3: vertex lines mix 2D and 3D coordinates", 3)
+    assert outcome("big-mixed-2d-3d-then-bad-face")[2] == 10002
+    assert outcome("big-obj-face-before-vertex")[1:] == (
+        "line 5002: face index -1 must be positive (1-based)", 5002
+    )
