@@ -45,6 +45,7 @@ from .plane_geometry import (
 )
 from .simple_mesh import (
     SimpleMeshAngles,
+    _read_json,
     correction_terms,
     load_mesh_angles,
     mesh_steps,
@@ -74,8 +75,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     Each value must fit its flag: a switch takes a JSON bool, an integer
     option a JSON int.  The caller parses again, so explicit flags win.
     """
-    with open(args.config, "r", encoding="utf-8-sig") as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     actions = {a.dest: a for a in args.parser._actions}

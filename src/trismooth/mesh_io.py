@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import compress, starmap
 
 import numpy as np
@@ -54,6 +53,7 @@ def _first_outside(faces: np.ndarray, nv: int) -> tuple[int, int] | None:
     return t, faces[t].tolist()[int(outside[t].argmax())]
 
 
+@dataclass(frozen=True, init=False)
 class MeshModel:
     """Indexed triangle mesh held as arrays; degenerate faces are kept out
     but on record.
@@ -64,9 +64,16 @@ class MeshModel:
     ``angles``, the (F, 3) inner angles (alpha, beta, gamma per triangle,
     before AngleTriple's sum repair) that ``analyze`` and ``render_svg``
     read.  ``vertices`` (Point2s) and ``triangles`` (index tuples) are
-    read-only views of ``xy`` and ``faces``, built when first read;
-    equality, hashing and ``repr`` go through them.
+    read-only views of ``xy`` and ``faces``, built when first read; the
+    dataclass's equality, hashing and ``repr`` go through them.
     """
+
+    vertices: tuple[Point2, ...]
+    triangles: tuple[tuple[int, int, int], ...]
+    dropped: tuple[DegenerateFace, ...]
+    xy: np.ndarray = field(repr=False, compare=False)
+    faces: np.ndarray = field(repr=False, compare=False)
+    angles: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, vertices, triangles, dropped: tuple[DegenerateFace, ...] = ()):
         vertices = tuple(vertices)
@@ -94,36 +101,16 @@ class MeshModel:
         object.__setattr__(self, "dropped", dropped)
         return self
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def vertices(self) -> tuple[Point2, ...]:
-        return tuple(starmap(Point2, self.xy.tolist()))
-
-    @cached_property
-    def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(map(tuple, self.faces.tolist()))
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.triangles, self.dropped)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(vertices={self.vertices!r}, "
-            f"triangles={self.triangles!r}, dropped={self.dropped!r})"
-        )
+    def __getattr__(self, name: str):
+        # called only for what the instance lacks: build a view once and keep it
+        if name == "vertices":
+            value = tuple(starmap(Point2, self.xy.tolist()))
+        elif name == "triangles":
+            value = tuple(map(tuple, self.faces.tolist()))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def triangle_points(self, t: int) -> TrianglePoints:
         i, j, k = self.triangles[t]
@@ -617,22 +604,21 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     def fmt(v: float) -> str:
         return f"{v:.9g}"
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{fmt(_SVG_WIDTH)}" height="{fmt(height)}" '
-        f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
-    ]
+        f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">\n'
+    )
     # "%.9g" is fmt's text; one % per block of corners is faster than one per corner
-    corner = "".join(block_rows("%.9g,%.9g", "\n", pts)).split("\n")
-    stroke = f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>'
+    corner = np.array("".join(block_rows("%.9g,%.9g", "\n", pts)).split("\n"), dtype=object)
     _, q = _repaired_quality(mesh.angles)
-    lines += [
-        f'  <polygon points="{corner[i]} {corner[j]} {corner[k]}" '
-        f'fill="{fill}" {stroke}'
-        for (i, j, k), fill in zip(mesh.faces.tolist(), cmap.colors(q))
-    ]
-    lines.append("</svg>")
+    fills = np.array(cmap.colors(q), dtype=object)
+    template = (
+        '  <polygon points="%s %s %s" fill="%s" '
+        f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>\n'
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(header)
+        fh.writelines(block_rows(template, "", np.column_stack((corner[mesh.faces], fills))))
+        fh.write("</svg>\n")

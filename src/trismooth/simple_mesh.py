@@ -446,11 +446,20 @@ def mesh_from_dict(data: dict) -> SimpleMeshAngles:
     return SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
 
 
+def _read_json(path):
+    """The JSON document in ``path`` (UTF-8, with or without a byte-order
+    mark).  Nesting too deep for the decoder is a JSONDecodeError as well."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nested too deeply", text, 0) from None
+
+
 def load_mesh_angles(path) -> SimpleMeshAngles:
     """Read and validate a fan mesh from its JSON interchange file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        data = json.load(fh)
-    return mesh_from_dict(data)
+    return mesh_from_dict(_read_json(path))
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:

@@ -611,6 +611,23 @@ def test_non_utf8_input_is_io_error(capsys, tmp_path, name, argv):
 
 
 @pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fan.json", ["simple-mesh", "--input", "{path}"]),
+        ("cfg.json", ["predict", "--angles", "90,60,30", "--degrees", "--config", "{path}"]),
+    ],
+)
+def test_too_deeply_nested_json_is_io_error(capsys, tmp_path, name, argv):
+    # nesting past the decoder's recursion limit is a file-format failure, like malformed JSON
+    path = tmp_path / name
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: document nested too deeply")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "name, text, argv",
     [
         ("m.off", MINIMAL_OFF.replace("\n", "\r\n"), ["analyze", "{path}"]),

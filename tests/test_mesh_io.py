@@ -273,6 +273,12 @@ def test_mesh_model_is_arrays_with_views_built_when_read(tmp_path):
     for array in (mesh.xy, mesh.faces, mesh.angles):
         with pytest.raises(ValueError):
             array[0, 0] = 0
+    # only the two views are built on demand: any other name is missing, and builds nothing
+    fresh = load_mesh(write(tmp_path, "m.off", DROPPED_FACE_OFF))
+    assert not hasattr(fresh, "bogus")
+    assert not {"vertices", "triangles"} & set(vars(fresh))
+    # equal only to a MeshModel, not to the tuple it compares by
+    assert (fresh == (fresh.vertices, fresh.triangles, fresh.dropped)) is False
 
 
 # --- OFF writing -----------------------------------------------------------------
@@ -684,6 +690,67 @@ def test_render_corners_match_per_vertex_format(tmp_path):
     assert [el.get("points") for el in polygons] == [
         " ".join(corner[i] for i in face) for face in mesh.triangles
     ]
+
+
+def reference_render_svg(mesh, path, colormap=None):
+    """The SVG writer as it was before it wrote block by block: every line in
+    one list, joined into one document."""
+    cmap = colormap if colormap is not None else ColorMap.default()
+    pts = mesh.xy * [1.0, -1.0]
+    (min_x, min_y), (max_x, max_y) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    span = max(max_x - min_x, max_y - min_y)
+    if span <= 0.0:
+        span = 1.0
+    margin = mesh_io.SVG_MARGIN_FRAC * span
+    vb_x, vb_y = min_x - margin, min_y - margin
+    vb_w, vb_h = (max_x - min_x) + 2 * margin, (max_y - min_y) + 2 * margin
+    height = 800.0 * vb_h / vb_w
+
+    def fmt(v):
+        return f"{v:.9g}"
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(800.0)}" height="{fmt(height)}" '
+        f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
+    ]
+    corner = "".join(plane_geometry.block_rows("%.9g,%.9g", "\n", pts)).split("\n")
+    stroke = f'stroke="#262626" stroke-width="{fmt(0.002 * span)}"/>'
+    _, q = mesh_io._repaired_quality(mesh.angles)
+    lines += [
+        f'  <polygon points="{corner[i]} {corner[j]} {corner[k]}" '
+        f'fill="{fill}" {stroke}'
+        for (i, j, k), fill in zip(mesh.faces.tolist(), cmap.colors(q))
+    ]
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        (jittered_grid_off(65, seed=4), None),
+        (jittered_grid_off(65, seed=4), "0:000000, 0.25:#ff8000, 0.7:20a0c0, 1:ffffff"),
+        ("OFF\n3 1 0\n0 0\n1 0\n2 0\n3 0 1 2\n", None),
+    ],
+    ids=["grid", "grid-colormap", "only-face-dropped"],
+)
+def test_render_svg_matches_joined_reference(tmp_path, text, spec):
+    # 8,450 faces are more than two FACE_BLOCKs: the blocks must join seamlessly
+    mesh = load_mesh(write(tmp_path, "m.off", text))
+    cmap = ColorMap.parse(spec) if spec else None
+    render_svg(mesh, tmp_path / "block.svg", cmap)
+    reference_render_svg(mesh, tmp_path / "joined.svg", cmap)
+    svg = (tmp_path / "block.svg").read_bytes()
+    assert svg == (tmp_path / "joined.svg").read_bytes()
+    if len(mesh.faces):
+        assert len(mesh.faces) > 2 * plane_geometry.FACE_BLOCK
+        assert svg.count(b"<polygon") == len(mesh.faces)
+    else:
+        assert svg.endswith(b'">\n</svg>\n') and svg.count(b"\n") == 3
 
 
 def test_render_viewbox_has_margin(tmp_path):
