@@ -17,7 +17,9 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+
+import numpy as np
 
 from .angle_dynamics import (
     STEP_CLAMP,
@@ -39,6 +41,7 @@ from .plane_geometry import (
     Point2,
     TrianglePoints,
     angles_of,
+    block_rows,
     construct_transformed,
     growth_factor,
     rescale_to_area,
@@ -48,8 +51,8 @@ from .simple_mesh import (
     _read_json,
     correction_terms,
     load_mesh_angles,
+    mesh_json_chunks,
     mesh_steps,
-    mesh_to_dict,
     optimal_mesh,
     random_mesh,
     reconstruct_geometry,
@@ -267,15 +270,32 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
     raise ValueError("--n needs --optimal or --random SEED")
 
 
+#: A row of ``simple-mesh``'s step table as ``json.dumps(indent=2)`` writes it.
+_STEP_ROW = (
+    '\n    {\n      "step": %d,\n      "mesh_q": %r,\n      "q_min": %r,\n'
+    '      "q_max": %r,\n      "max_residual": %r\n    }'
+)
+
+
+def _simple_mesh_json(document: dict, rows, final: SimpleMeshAngles) -> Iterator[str]:
+    """``document`` with its step table and final fan as ``json.dumps(indent=2)``
+    writes it, in pieces.  ``%r`` is ``json``'s text for every table value:
+    each fan measured passed ``simple_mesh._checked``, so its angles, and the
+    ratios and residuals measured from them, are finite."""
+    head, _, rest = json.dumps(document, indent=2).partition('"steps": []')
+    middle, _, tail = rest.partition('"final": {}')
+    yield head + '"steps": ['
+    yield from block_rows(_STEP_ROW, ",", np.column_stack((np.arange(len(rows)), rows)))
+    yield "\n  ]" + middle + '"final": '
+    yield from mesh_json_chunks(final, 1)
+    yield tail
+
+
 def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     mesh = _simple_mesh_source(args)
     n = mesh.n_triangles
     k = correction_terms(n)
     rows, final = mesh_steps(mesh, _step_count(args))
-    entries = [
-        {"step": step, "mesh_q": q, "q_min": q_min, "q_max": q_max, "max_residual": r}
-        for step, (q, q_min, q_max, r) in enumerate(rows.tolist())
-    ]
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
     written = []
@@ -292,6 +312,10 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
         written.insert(0, f"wrote {args.output}")
 
     def text() -> list[str]:
+        entries = [
+            {"step": step, "mesh_q": q, "q_min": q_min, "q_max": q_max, "max_residual": r}
+            for step, (q, q_min, q_max, r) in enumerate(rows.tolist())
+        ]
         return [
             f"fan mesh with {n} triangles",
             f"correction terms: k_alpha={k.k_alpha:.12g} "
@@ -314,25 +338,23 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     doc = {
         "n": n,
         "correction_terms": vars(k),
-        "steps": entries,
-        "final": mesh_to_dict(final),
+        "steps": [],
+        "final": {},
         "reconstruction": {
             "radius_residual": residual.radius,
             "turn_residual": residual.turn,
         },
     }
-    return doc, text
+    return _simple_mesh_json(doc, rows, final), text
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
     mesh = load_mesh(args.mesh, args.format)
     steps = _parse_values(args.steps, "--steps") if args.steps is not None else ()
     report = analyze(mesh, steps, bins=args.bins)
-    written = []  # reports first, so their peak memory and the lines' never add up
-    for path, write in ((args.report, report.write_json), (args.csv, report.write_csv)):
-        if path:
-            write(path)
-            written.append(f"wrote {path}")
+    # reports first, so their peak memory and the lines' never add up
+    report.write(args.report or None, args.csv or None)
+    written = [f"wrote {path}" for path in (args.report, args.csv) if path]
 
     def text() -> list[str]:
         s = report.summary

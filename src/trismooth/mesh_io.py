@@ -12,14 +12,16 @@ per triangle.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import compress, starmap
 
 import numpy as np
 
 from .angle_dynamics import AngleTriple, _predicted_quality, _repaired_quality
-from .plane_geometry import Point2, TrianglePoints, block_rows, measure_faces
+from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -387,9 +389,12 @@ class QualityReport:
     and ``predicted`` the closed-form quality after each of
     ``predict_steps`` (F, S).  ``triangles[t]`` builds face t's
     TriangleRecord from them when it is indexed.  The JSON and CSV writers
-    format the columns ``FACE_BLOCK`` faces at a time through ``%r``
-    templates: for the finite floats a report holds, that is the text
-    ``json`` and ``csv`` write.
+    share one block loop: it ``repr``s the angles, ``q`` and predictions of
+    ``FACE_BLOCK`` faces at a time, each value once, and fills each file's
+    row template with those strings through ``%s``.  So ``write`` with both
+    paths formats every value once for the two files, and holds one block
+    of text at a time.  For the finite floats a report holds, ``repr`` is
+    the text ``json`` and ``csv`` write.
     """
 
     predict_steps: tuple[int, ...]
@@ -409,8 +414,8 @@ class QualityReport:
         ``template``, faces joined by ``sep``, in ``block_rows`` blocks."""
         return block_rows(template, sep, np.column_stack((np.arange(len(self.q)), *columns)))
 
-    def json_chunks(self) -> Iterator[str]:
-        """The report as ``json.dumps(indent=2)`` writes it, in pieces."""
+    def _json_layout(self, end: str = "") -> tuple[str, str, str, list[int], str]:
+        """The report as ``json.dumps(indent=2)`` writes it, then ``end``."""
         document = {
             "predict_steps": list(self.predict_steps),
             "triangles": [],
@@ -431,32 +436,82 @@ class QualityReport:
         }
         head, _, tail = json.dumps(document, indent=2).partition('"triangles": []')
         steps = list(dict.fromkeys(self.predict_steps))  # a dict keeps one key per step
-        predicted = ",".join(f'\n        "{s}": %r' for s in steps)
+        predicted = ",".join(f'\n        "{s}": %s' for s in steps)
         template = (
-            '    {\n      "index": %d,\n      "alpha": %r,\n      "beta": %r,\n'
-            '      "gamma": %r,\n      "q": %r,\n      "predicted": {'
+            '    {\n      "index": %d,\n      "alpha": %s,\n      "beta": %s,\n'
+            '      "gamma": %s,\n      "q": %s,\n      "predicted": {'
             + (predicted + "\n      " if steps else "")
             + "}\n    }"
         )
-        values = self.predicted[:, [self.predict_steps.index(s) for s in steps]]
-        yield head + '"triangles": [\n'
-        yield from self.rows(template, ",\n", self.angles, self.q, values)
-        yield "\n  ]" + tail
+        columns = [0, 1, 2, 3] + [4 + self.predict_steps.index(s) for s in steps]
+        return head + '"triangles": [\n', template, ",\n", columns, "\n  ]" + tail + end
 
-    def write_json(self, path) -> None:
-        """``json_chunks()`` plus a newline, as ``json.dump(indent=2)`` would."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(self.json_chunks())
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
+    def _csv_layout(self) -> tuple[str, str, str, list[int], str]:
         """One row per face, as ``csv.writer`` writes it: no field needs quotes."""
         header = ["index", "alpha", "beta", "gamma", "q"]
         header += [f"q_pred_{s}" for s in self.predict_steps]
-        template = ",".join(["%d"] + ["%r"] * (len(header) - 1)) + "\r\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(self.rows(template, "", self.angles, self.q, self.predicted))
+        template = ",".join(["%d"] + ["%s"] * (len(header) - 1)) + "\r\n"
+        return ",".join(header) + "\r\n", template, "", list(range(len(header) - 1)), ""
+
+    def _pieces(self, *layouts) -> Iterator[list[str]]:
+        """Each layout's head, rows block by block, then tail: one list per
+        step, a piece per layout.  A layout is (head, row template, row
+        separator, value columns, tail); a row is the face index and its
+        values at ``columns`` of (alpha, beta, gamma, q, predicted...).  A
+        block's values are ``repr``'d once, whatever the number of layouts."""
+        yield [layout[0] for layout in layouts]
+        table = np.column_stack((self.angles, self.q, self.predicted))
+        k = table.shape[1]
+        for start in range(0, len(table), FACE_BLOCK):
+            block = table[start : start + FACE_BLOCK]
+            n = len(block)
+            text = list(map(repr, block.ravel().tolist()))
+            pieces = []
+            for _, template, sep, columns, _ in layouts:
+                # interleave index and value strings in row order, by slices
+                width = len(columns) + 1
+                args = [None] * (n * width)
+                args[::width] = range(start, start + n)
+                for i, c in enumerate(columns, 1):
+                    args[i::width] = text[c::k]
+                rows = sep.join([template] * n) % tuple(args)
+                pieces.append(sep + rows if start else rows)
+            yield pieces
+        yield [layout[-1] for layout in layouts]
+
+    def json_chunks(self) -> Iterator[str]:
+        """The report as ``json.dumps(indent=2)`` writes it, in pieces."""
+        for (piece,) in self._pieces(self._json_layout()):
+            yield piece
+
+    def write(self, json_path=None, csv_path=None) -> None:
+        """Write the JSON report to ``json_path`` (``json_chunks()`` plus a
+        newline, as ``json.dump(indent=2)`` would) and the CSV to
+        ``csv_path``, either or both, in one pass over the faces.
+
+        When the two name one file, it holds the CSV, as writing the JSON
+        and then the CSV would leave it.
+        """
+        with ExitStack() as stack:
+            files, layouts = [], []
+            outputs = ((json_path, self._json_layout("\n")), (csv_path, self._csv_layout()))
+            for path, layout in outputs:
+                if path is not None:
+                    files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                    layouts.append(layout)
+            if len(files) == 2 and os.path.sameopenfile(files[0].fileno(), files[1].fileno()):
+                del files[0], layouts[0]
+            for pieces in self._pieces(*layouts):
+                for fh, piece in zip(files, pieces):
+                    fh.write(piece)
+
+    def write_json(self, path) -> None:
+        """``json_chunks()`` plus a newline, as ``json.dump(indent=2)`` would."""
+        self.write(json_path=path)
+
+    def write_csv(self, path) -> None:
+        """One row per face, as ``csv.writer`` writes it: no field needs quotes."""
+        self.write(csv_path=path)
 
 
 def analyze(

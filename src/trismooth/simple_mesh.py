@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -462,10 +463,24 @@ def load_mesh_angles(path) -> SimpleMeshAngles:
     return mesh_from_dict(_read_json(path))
 
 
+#: A triangle of ``mesh_to_dict``'s list as ``json.dumps(indent=2)`` writes
+#: it in a top-level document, each row on its own lines.
+_TRIANGLE_ROW = '\n    {\n      "alpha": %r,\n      "beta": %r,\n      "gamma": %r\n    }'
+
+
+def mesh_json_chunks(m: SimpleMeshAngles, depth: int = 0) -> Iterator[str]:
+    """``mesh_to_dict(m)`` as ``json.dumps(indent=2)`` writes it, in pieces,
+    as the value of a key ``depth`` objects deep: each line after the first
+    indented two more spaces per level.  ``%r`` is ``json``'s text for the
+    angles, which ``_checked`` keeps finite."""
+    nl = "\n" + "  " * depth
+    yield '{\n  "N": %d,\n  "triangles": ['.replace("\n", nl) % m.n_triangles
+    yield from block_rows(_TRIANGLE_ROW.replace("\n", nl), ",", m.angles.T)
+    yield "\n  ]\n}".replace("\n", nl)
+
+
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:
     """``mesh_to_dict(m)`` as ``json.dump(indent=2)`` writes it, plus a newline."""
-    row = '    {\n      "alpha": %r,\n      "beta": %r,\n      "gamma": %r\n    }'
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{\n  "N": %d,\n  "triangles": [\n' % m.n_triangles)
-        fh.writelines(block_rows(row, ",\n", m.angles.T))
-        fh.write("\n  ]\n}\n")
+        fh.writelines(mesh_json_chunks(m))
+        fh.write("\n")

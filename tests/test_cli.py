@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -18,7 +19,15 @@ import trismooth
 from trismooth import cli
 from trismooth.angle_dynamics import STEP_CLAMP
 from trismooth.mesh_io import QualityReport
-from trismooth.simple_mesh import mesh_to_dict, optimal_mesh
+from trismooth.simple_mesh import (
+    correction_terms,
+    load_mesh_angles,
+    mesh_steps,
+    mesh_to_dict,
+    optimal_mesh,
+    random_mesh,
+    reconstruct_geometry,
+)
 
 PI = math.pi
 
@@ -407,6 +416,77 @@ def test_simple_mesh_steps_large_fans_in_bounded_blocks(capsys):
     assert peak < 2 * 2**20
 
 
+def reference_simple_mesh_document(mesh, steps):
+    """simple-mesh's --json document as a dict, which main printed with
+    json.dumps(indent=2) before the block templates."""
+    rows, final = mesh_steps(mesh, steps)
+    _, residual = reconstruct_geometry(final, 1.0)
+    return {
+        "n": mesh.n_triangles,
+        "correction_terms": vars(correction_terms(mesh.n_triangles)),
+        "steps": [
+            {"step": step, "mesh_q": q, "q_min": q_min, "q_max": q_max, "max_residual": r}
+            for step, (q, q_min, q_max, r) in enumerate(rows.tolist())
+        ],
+        "final": mesh_to_dict(final),
+        "reconstruction": {
+            "radius_residual": residual.radius,
+            "turn_residual": residual.turn,
+        },
+    }
+
+
+def overflowing_residual_fan():
+    """A valid 3-fan whose radius-1 closure residual overflows to inf: its
+    last two gammas are 1e-200 and 1e-300, so the law of sines' last ratio
+    is past float range while every vertex stays finite."""
+    alpha = [1.0, PI - 0.5, PI - 0.5]
+    gamma = [PI / 2 - 1e-200 - 1e-300, 1e-200, 1e-300]
+    beta = [PI - a - g for a, g in zip(alpha, gamma)]
+    triangles = [dict(alpha=a, beta=b, gamma=g) for a, b, g in zip(alpha, beta, gamma)]
+    return {"N": 3, "triangles": triangles}
+
+
+@pytest.mark.parametrize(
+    "source, steps",
+    [
+        (["--n", "3", "--random", "3"], 200),
+        (["--n", "480", "--random", "3"], 200),
+        (["--n", "7", "--random", "3"], 5),
+        (["--n", "5", "--optimal"], 0),
+        (["--n", "6", "--optimal"], 3),
+        (["--input", "overflow.json"], 0),
+    ],
+)
+def test_simple_mesh_json_matches_json_dumps(capsys, tmp_path, source, steps):
+    fan = tmp_path / "overflow.json"
+    fan.write_text(json.dumps(overflowing_residual_fan()))
+    argv = ["simple-mesh", *(str(fan) if a == "overflow.json" else a for a in source)]
+    code, out, err = run(capsys, [*argv, "--steps", str(steps), "--json"])
+    assert (code, err) == (0, "")
+    if "--input" in source:
+        mesh = load_mesh_angles(fan)
+        # json writes a non-finite float as Infinity, and so does simple-mesh
+        assert '"radius_residual": Infinity' in out
+    elif "--optimal" in source:
+        mesh = optimal_mesh(int(source[1]))
+    else:
+        mesh = random_mesh(int(source[1]), int(source[3]))
+    assert out == json.dumps(reference_simple_mesh_document(mesh, steps), indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 80), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 40))
+def test_simple_mesh_json_matches_json_dumps_on_drawn_fans(n, seed, steps):
+    out = io.StringIO()
+    mesh = random_mesh(n, seed)
+    argv = ["simple-mesh", "--n", str(n), "--random", str(seed), "--steps", str(steps), "--json"]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    expected = json.dumps(reference_simple_mesh_document(mesh, steps), indent=2) + "\n"
+    assert out.getvalue() == expected
+
+
 # --- step limit of iterate, construct and simple-mesh -------------------------------
 
 STEPPING = {
@@ -462,18 +542,70 @@ def test_analyze_writes_reports(capsys, tmp_path):
     assert csv_path.read_text().startswith("index,")
 
 
+
+@pytest.mark.parametrize("how", ["same path", "symlink", "hard link"])
+def test_analyze_report_and_csv_in_one_file_hold_the_csv(capsys, tmp_path, how):
+    # writing the JSON and then the CSV to one file leaves the CSV, so only the CSV is written
+    mesh = tmp_path / "m.off"
+    mesh.write_text(MINIMAL_OFF)
+    alone, target = tmp_path / "alone.csv", tmp_path / "r.out"
+    code, _, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--csv", str(alone)])
+    assert code == 0
+    report = target
+    if how == "symlink":
+        report = tmp_path / "link.out"
+        report.symlink_to(target)
+    elif how == "hard link":
+        target.write_text("old")
+        report = tmp_path / "link.out"
+        os.link(target, report)
+    argv = ["analyze", str(mesh), "--steps", "1,2", "--report", str(report), "--csv", str(target)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [f"wrote {report}", f"wrote {target}"]
+    assert target.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_analyze_reports_to_dev_null(capsys, tmp_path):
+    mesh = tmp_path / "m.off"
+    mesh.write_text(MINIMAL_OFF)
+    argv = ["analyze", str(mesh), "--report", "/dev/null", "--csv", "/dev/null"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["wrote /dev/null", "wrote /dev/null"]
+
+
+@pytest.mark.parametrize("bad", ["--report", "--csv"])
+def test_analyze_unopenable_report_is_io_error(capsys, tmp_path, bad):
+    mesh = tmp_path / "m.off"
+    mesh.write_text(MINIMAL_OFF)
+    paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "r.csv"}
+    paths[bad] = tmp_path / "absent" / "r.out"
+    argv = ["analyze", str(mesh), *(str(x) for pair in paths.items() for x in pair)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(paths[bad]) in err
+
 def test_analyze_json_builds_no_text_lines(capsys, tmp_path, monkeypatch):
     # under --json only the document is printed, so the per-face lines are not built
     mesh = tmp_path / "m.off"
     mesh.write_text(MINIMAL_OFF)
     templates = Counter()
-    rows = QualityReport.rows
+    rows, pieces = QualityReport.rows, QualityReport._pieces
 
     def counted(report, template, *args):
         templates["text" if template.startswith("  triangle") else "json"] += 1
         return rows(report, template, *args)
 
+    def counted_pieces(report, *layouts):
+        # the report files' block loop: a layout's row template is its second item
+        templates.update("json" if row.startswith("    {") else "csv" for _, row, *_ in layouts)
+        return pieces(report, *layouts)
+
     monkeypatch.setattr(QualityReport, "rows", counted)
+    monkeypatch.setattr(QualityReport, "_pieces", counted_pieces)
     code, out, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
     assert code == 0 and json.loads(out)["summary"]["count"] == 1
     assert templates == Counter({"json": 1})

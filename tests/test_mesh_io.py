@@ -504,6 +504,60 @@ def test_column_writers_match_reference_writers(tmp_path, capsys, name, text, st
     assert capsys.readouterr().out == json.dumps(reference_dict(report), indent=2) + "\n"
 
 
+def first_faces_off(text, count):
+    """OFF ``text`` with only its first ``count`` faces."""
+    lines = text.splitlines()
+    nv = int(lines[1].split()[0])
+    return "\n".join(["OFF", f"{nv} {count} 0", *lines[2 : 2 + nv + count]]) + "\n"
+
+
+BLOCK_GRID_OFF = jittered_grid_off(46, seed=7)  # 4232 faces
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        (jittered_grid_off(8, seed=2), (2, 2, 0)),
+        (jittered_grid_off(8, seed=2), ()),
+        (DROPPED_FACE_OFF, (1,)),
+        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK - 1), (1, 2)),
+        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK), (1, 2)),
+        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK + 1), (1, 2)),
+    ],
+    ids=["duplicate-and-zero-steps", "no-steps", "dropped-face", "block-1", "block", "block+1"],
+)
+def test_shared_block_loop_matches_reference_writers(tmp_path, capsys, monkeypatch, text, steps):
+    path = write(tmp_path, "m.off", text)
+    report = analyze(load_mesh(path), steps)
+    reference_write_json(report, tmp_path / "ref.json")
+    reference_write_csv(report, tmp_path / "ref.csv")
+    expected = {kind: (tmp_path / f"ref.{kind}").read_bytes() for kind in ("json", "csv")}
+    calls = Counter()
+
+    def counted_repr(value):
+        calls[type(value)] += 1
+        return repr(value)
+
+    # each float of the report is repr'd once for both files together
+    monkeypatch.setattr(mesh_io, "repr", counted_repr, raising=False)
+    report.write(tmp_path / "both.json", tmp_path / "both.csv")
+    assert calls == Counter({float: report.q.size * (4 + len(steps))})
+    monkeypatch.undo()
+    report.write_json(tmp_path / "alone.json")
+    report.write_csv(tmp_path / "alone.csv")
+    for name in ("both", "alone"):
+        assert (tmp_path / f"{name}.json").read_bytes() == expected["json"]
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected["csv"]
+    argv = ["analyze", str(path)] + (["--steps", ",".join(map(str, steps))] if steps else [])
+    files = ["--report", str(tmp_path / "cli.json"), "--csv", str(tmp_path / "cli.csv")]
+    assert cli.main(argv + files) == 0
+    assert (tmp_path / "cli.json").read_bytes() == expected["json"]
+    assert (tmp_path / "cli.csv").read_bytes() == expected["csv"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out.encode() == expected["json"]
+
+
 def test_report_sum_repair_rejects_like_angle_triple(tmp_path):
     raw = np.array(
         [[PI / 2, PI / 3, PI / 6 + 5e-10], [1.0, 1.0, 1.0], [1.0, math.inf, 1.0], [math.nan] * 3]
