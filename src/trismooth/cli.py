@@ -14,6 +14,7 @@ nothing else here prints except ``_fail``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,11 +73,17 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
+#: The options ``_parse_values`` reads, which a config may give as a JSON list.
+_LIST_OPTIONS = ("angles", "points", "steps")
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Make a JSON config file's values the chosen subcommand's defaults.
 
     Each value must fit its flag: a switch takes a JSON bool, an integer
-    option a JSON int.  The caller parses again, so explicit flags win.
+    option a JSON int, and a string option a JSON string, a list too where
+    ``_parse_values`` reads it, or null for its own default.  The caller
+    parses again, so explicit flags win.
     """
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
@@ -89,10 +96,17 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ValueError(f"config key {key!r} is not allowed")
         if dest not in actions or not hasattr(args, dest):
             raise ValueError(f"unknown config key {key!r}")
-        wanted = bool if actions[dest].nargs == 0 else actions[dest].type
-        if wanted in (bool, int) and type(value) is not wanted:
-            raise ValueError(f"config key {key!r} must be a JSON {wanted.__name__}")
-        if value is not None:  # null keeps the flag's own default
+        if actions[dest].nargs == 0:
+            kinds, name = (bool,), "bool"
+        elif actions[dest].type is int:
+            kinds, name = (int,), "int"
+        elif dest in _LIST_OPTIONS:
+            kinds, name = (str, list, type(None)), "string or list"
+        else:
+            kinds, name = (str, type(None)), "string"
+        if type(value) not in kinds:
+            raise ValueError(f"config key {key!r} must be a JSON {name}")
+        if value is not None:  # null keeps a string option's own default
             defaults[dest] = value
     args.parser.set_defaults(**defaults)
 
@@ -105,7 +119,10 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
     if value is None:
         raise ValueError(f"{flag} is required")
     convert = int if count is None else float
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)):  # a config file's JSON list
+        kinds, noun = ((int,), "integers") if count is None else ((int, float), "numbers")
+        if any(type(v) not in kinds for v in value):
+            raise ValueError(f"{flag} values must be {noun}")
         items = [convert(v) for v in value]
     else:
         items = [convert(tok) for tok in str(value).split(",") if count or tok.strip()]
@@ -465,15 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of every call, built once per process.  Only ``--config``
+#: changes defaults, and it does so on a parser of its own.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         if args.config:
-            _apply_config(args)
+            parser = build_parser()
+            _apply_config(parser.parse_args(argv))
             args = parser.parse_args(argv)
         document, text = args.func(args)
         if args.json:

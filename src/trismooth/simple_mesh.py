@@ -234,17 +234,28 @@ class SimpleMeshGeometry:
 def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One corrected step of a (3, N) fan: ``0.5 * [b+g, a+g, a+b] + k``.
 
-    ``k`` is the (3, 1) column of :func:`correction_terms`.  Each angle
-    gets the scalar expression's operations in its order, so its bits.
+    ``k`` is the (3, N) array of :func:`_k_rows`.  Each angle gets the
+    scalar expression's operations in its order, so its bits.  The sums go
+    row by row into ``out``, which may be ``x`` or overlap it; then ``x``
+    is copied first, since a row written would be read again.
     """
-    out = np.add(x[[1, 0, 0]], x[[2, 2, 1]], out=out)
+    if out is None:
+        out = np.empty(x.shape)
+    elif np.may_share_memory(x, out):
+        x = x.copy()
+    a, b, g = x
+    np.add(b, g, out[0])
+    np.add(a, g, out[1])
+    np.add(a, b, out[2])
     out *= 0.5
     out += k
     return out
 
 
-def _k_column(n: int) -> np.ndarray:
-    return np.array(astuple(correction_terms(n)))[:, None]
+def _k_rows(n: int) -> np.ndarray:
+    """Each angle's :func:`correction_terms` term, as a (3, N) array: a step
+    adds it faster than a (3, 1) column it would broadcast."""
+    return np.repeat(np.array(astuple(correction_terms(n)))[:, None], n, axis=1)
 
 
 def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
@@ -255,7 +266,7 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     fails loudly if any output angle is non-positive -- clamping would
     silently break the constraint identities.
     """
-    x = fan_step(m.angles, _k_column(m.n_triangles))
+    x = fan_step(m.angles, _k_rows(m.n_triangles))
     return SimpleMeshAngles._from_checked(x, _checked(x[None], transformed=True)[0])
 
 
@@ -271,7 +282,7 @@ def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshA
     if steps < 0:
         raise ValueError("step count must be >= 0")
     n = m.n_triangles
-    k, block = _k_column(n), max(1, FACE_BLOCK // n)
+    k, block = _k_rows(n), max(1, FACE_BLOCK // n)
     rows = np.empty((steps + 1, 4))
     rows[0] = _quality_rows(m.angles[None], [m.constraint_residuals().max()])
     buf = np.empty((min(block, steps), 3, n))
@@ -350,7 +361,7 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     if n < 3:
         raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
     conc = np.full(n, RANDOM_CONCENTRATION)
-    k = _k_column(n)
+    k = _k_rows(n)
     for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)
         alpha *= 2.0 * PI / alpha.sum()

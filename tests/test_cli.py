@@ -974,6 +974,100 @@ def test_config_false_switch_stays_off(capsys, tmp_path):
     assert json.loads(out)["unit"] == "radians"
 
 
+def config_run(capsys, tmp_path, command, cfg):
+    """Run ``command --config`` with ``cfg``, after the minimal mesh for
+    ``analyze`` and ``render``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    mesh = tmp_path / "tri.off"
+    mesh.write_text(MINIMAL_OFF)
+    positional = [str(mesh)] if command in ("analyze", "render") else []
+    return run(capsys, [command, *positional, "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("analyze", "report", True),
+        ("analyze", "csv", 1),
+        ("analyze", "format", 5),
+        ("analyze", "steps", {"n": 1}),
+        ("simple-mesh", "input", 0),
+        ("simple-mesh", "output", ["f.json"]),
+        ("simple-mesh", "colormap", 5),
+        ("render", "out", 7),
+        ("render", "colormap", False),
+        ("construct", "svg", 1.0),
+        ("iterate", "angles", True),
+    ],
+)
+def test_config_string_option_takes_a_json_string(capsys, tmp_path, command, key, value):
+    code, out, err = config_run(capsys, tmp_path, command, {key: value})
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: config key {key!r} must be a JSON string")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tri.off"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("analyze", {"steps": [1.5]}, "--steps values must be integers"),
+        (
+            "predict",
+            {"angles": "90,60,30", "degrees": True, "steps": [True]},
+            "--steps values must be integers",
+        ),
+        ("predict", {"angles": [90, None, 30]}, "--angles values must be numbers"),
+        ("construct", {"points": [[0], 0, 1, 0, 0, 1]}, "--points values must be numbers"),
+    ],
+)
+def test_config_list_holds_numbers(capsys, tmp_path, command, cfg, message):
+    code, out, err = config_run(capsys, tmp_path, command, cfg)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+CONFIG_ISOLATION = [
+    # (config, argv with --config, argv without it); each config value, leaked
+    # into the later call, would change its output or make it fail
+    (
+        {"angles": "90,60,30", "degrees": True, "steps": 2},
+        ["iterate", "--json"],
+        ["iterate", "--angles", "1.5,1.0,0.6415926535897931"],
+    ),
+    (
+        {"n": 5, "optimal": True, "steps": 3, "output": "{tmp}/fan.json"},
+        ["simple-mesh"],
+        ["simple-mesh", "--n", "7", "--random", "1", "--steps", "2"],
+    ),
+    (
+        {"steps": [1, 2], "bins": 3, "report": "{tmp}/r.json"},
+        ["analyze", "{mesh}"],
+        ["analyze", "{mesh}"],
+    ),
+]
+
+
+def test_config_defaults_stay_with_their_call(capsys, tmp_path):
+    mesh = tmp_path / "tri.off"
+    mesh.write_text(MINIMAL_OFF)
+
+    def fill(argv):
+        return [a.replace("{mesh}", str(mesh)) for a in argv]
+
+    later = []
+    for n, (cfg, with_config, without) in enumerate(CONFIG_ISOLATION):
+        path = tmp_path / f"cfg{n}.json"
+        path.write_text(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
+        assert run(capsys, [*fill(with_config), "--config", str(path)])[0] == 0
+        later.append(run(capsys, fill(without)))
+    for (_, _, without), got in zip(CONFIG_ISOLATION, later):
+        fresh = run_child(["-m", "trismooth.cli", *fill(without)])
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert got == (0, fresh.stdout, "")
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_usage_errors(capsys):
     assert cli.main([]) == 2
     assert cli.main(["no-such-command"]) == 2

@@ -7,6 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trismooth import (
     AngleTriple,
@@ -279,6 +282,35 @@ def test_mesh_steps_match_scalar_reference(n, start):
     assert (one.alpha, one.beta, one.gamma) == finals[1]
     assert one.constraint_residuals().max() == rows[1][3]
     assert mesh_quality(one).mesh_q == rows[1][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.just(3), st.integers(3, 40)), elements=st.floats(0.0, 4.0)))
+def test_fan_step_into_its_own_fan_is_exact(x):
+    k = simple_mesh._k_rows(x.shape[1])
+    expected = simple_mesh.fan_step(x.copy(), k).tobytes()
+    assert simple_mesh.fan_step(x, k, out=np.empty(x.shape)).tobytes() == expected
+    itself = x.copy()
+    assert simple_mesh.fan_step(itself, k, out=itself) is itself
+    assert itself.tobytes() == expected
+    shifted = np.empty((4, x.shape[1]))  # out one row below the fan, sharing two rows
+    shifted[:3] = x
+    simple_mesh.fan_step(shifted[:3], k, out=shifted[1:])
+    assert shifted[1:].tobytes() == expected
+
+
+def test_mesh_steps_of_a_5000_fan_step_one_fan_in_place():
+    # past FACE_BLOCK triangles a block holds one step, so fan_step writes
+    # each fan over the one it reads
+    m = optimal_mesh(5000)
+    rows, final = mesh_steps(m, 3)
+    state = m
+    for step in range(1, 4):
+        state = transform_mesh(state)
+        q = mesh_quality(state)
+        worst = state.constraint_residuals().max()
+        assert rows[step].tolist() == [q.mesh_q, q.ratios.min(), q.ratios.max(), worst]
+    assert final.angles.tobytes() == state.angles.tobytes()
 
 
 def test_mesh_steps_raise_for_the_first_failing_step(monkeypatch):
