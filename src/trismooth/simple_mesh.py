@@ -210,11 +210,20 @@ class SimpleMeshGeometry:
         object.__setattr__(self, "boundary", tuple(self.boundary))
         if len(self.boundary) < 3:
             raise MeshConstraintError("fan geometry needs >= 3 boundary points")
-        for i in range(len(self.boundary)):
-            if self.triangle(i).doubled_signed_area() <= 0.0:
-                raise MeshConstraintError(
-                    f"fan triangle {i} is degenerate or flipped"
-                )
+        flat = self._doubled_areas() <= 0.0
+        if flat.any():
+            raise MeshConstraintError(
+                f"fan triangle {int(flat.argmax())} is degenerate or flipped"
+            )
+
+    def _doubled_areas(self) -> np.ndarray:
+        """Every triangle's ``TrianglePoints.doubled_signed_area``, (N,), with
+        its operations in their order; overflow gives inf or NaN, as floats do."""
+        a = self.inner_vertex
+        b = np.array([(p.x, p.y) for p in self.boundary])
+        c = np.roll(b, -1, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (b[:, 0] - a.x) * (c[:, 1] - a.y) - (b[:, 1] - a.y) * (c[:, 0] - a.x)
 
     @property
     def n_triangles(self) -> int:
@@ -228,7 +237,7 @@ class SimpleMeshGeometry:
         return tuple(self.triangle(i) for i in range(len(self.boundary)))
 
     def total_area(self) -> float:
-        return math.fsum(t.area() for t in self.triangles())
+        return math.fsum((0.5 * np.abs(self._doubled_areas())).tolist())
 
 
 def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,32 +279,58 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     return SimpleMeshAngles._from_checked(x, _checked(x[None], transformed=True)[0])
 
 
+#: mesh_steps: the most steps in one (B, 3, N) block.  Fans repeat within
+#: about 60 steps, and states stepped past a repeat are thrown away.
+_STEP_BLOCK = 64
+
+
 def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshAngles]:
     """Rows (mesh_q, q_min, q_max, max_residual) for ``m`` and each of its
     ``steps`` successors, and the last fan.
 
     The successors are the :func:`transform_mesh` states, made by
-    :func:`fan_step` ``max(1, FACE_BLOCK // N)`` steps at a time into one
-    (B, 3, N) block; each block is checked, as transform_mesh checks,
-    and measured in one pass.  Only the last fan becomes an object.
+    :func:`fan_step` ``max(1, min(64, FACE_BLOCK // N))`` steps at a time
+    into one (B, 3, N) block; each block is checked, as transform_mesh
+    checks, and measured in one pass.  Only the last fan becomes an object.
+
+    Then each state of the block is compared with the state two steps
+    before it.  Rounding stops the contraction within about 60 steps, and
+    a step is a pure function of the fan, so once state s equals state
+    s - 2, the states from s - 2 on alternate (a fixed fan is period 1 of
+    that).  Stepping stops there: each later row repeats row s - 1 or s,
+    and the last fan is state s or s - 1 by the parity of ``steps - s``,
+    all with the bits stepping on would give.
     """
     if steps < 0:
         raise ValueError("step count must be >= 0")
     n = m.n_triangles
-    k, block = _k_rows(n), max(1, FACE_BLOCK // n)
+    k, block = _k_rows(n), max(1, min(_STEP_BLOCK, FACE_BLOCK // n))
     rows = np.empty((steps + 1, 4))
     rows[0] = _quality_rows(m.angles[None], [m.constraint_residuals().max()])
-    buf = np.empty((min(block, steps), 3, n))
-    fan = m.angles
-    for start in range(1, steps + 1, block):
-        x = buf[: min(block, steps + 1 - start)]
-        for out in x:
-            fan = fan_step(fan, k, out=out)
-        res = _checked(x, transformed=True)
-        rows[start : start + len(x)] = _quality_rows(x, res.max(axis=1))
     if not steps:
         return rows, m
-    return rows, SimpleMeshAngles._from_checked(fan.copy(), res[-1])
+    # buf[:2] holds the two states before the block; before the first
+    # block, NaN (equal to no state) and the start fan
+    buf = np.full((min(block, steps) + 2, 3, n), np.nan)
+    buf[1] = m.angles
+    for start in range(1, steps + 1, block):
+        b = min(block, steps + 1 - start)
+        x = buf[2 : b + 2]
+        for i in range(b):
+            fan_step(buf[i + 1], k, out=x[i])
+        res = _checked(x, transformed=True)
+        rows[start : start + b] = _quality_rows(x, res.max(axis=1))
+        repeats = (x == buf[:b]).all(axis=(1, 2))
+        if repeats.any():
+            i = int(repeats.argmax())
+            s = start + i
+            rows[s + 1 :] = np.resize(rows[s - 1 : s + 1], (steps - s, 4))
+            fan = buf[i + 2 - (steps - s) % 2].copy()
+            break
+        buf[:2] = buf[b : b + 2]
+    else:
+        fan = x[-1].copy()
+    return rows, SimpleMeshAngles._from_checked(fan, _residuals(fan[None])[0])
 
 
 def _quality_rows(x: np.ndarray, worst) -> np.ndarray:

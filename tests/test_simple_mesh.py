@@ -1,5 +1,8 @@
 """Tests for the constrained fan-mesh transformation and reconstruction."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import time
@@ -7,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,6 +36,7 @@ from trismooth import (
     transform_mesh,
 )
 from trismooth import cli, simple_mesh
+from trismooth.angle_dynamics import STEP_CLAMP
 from trismooth.plane_geometry import FACE_BLOCK
 from trismooth.simple_mesh import mesh_from_dict, mesh_steps, mesh_to_dict
 
@@ -70,6 +74,15 @@ def reference_transform_mesh(m):
         new_b.append(b)
         new_g.append(g)
     return tuple(new_a), tuple(new_b), tuple(new_g)
+
+
+def reference_trajectory(m, steps):
+    """The states (alpha, beta, gamma) of the reference loop from ``m`` on,
+    and their rows."""
+    states = [(m.alpha, m.beta, m.gamma)]
+    for _ in range(steps):
+        states.append(reference_transform_mesh(SimpleMeshAngles(*states[-1])))
+    return states, [reference_row(*state) for state in states]
 
 
 def reference_residual(a, b, g):
@@ -284,6 +297,74 @@ def test_mesh_steps_match_scalar_reference(n, start):
     assert mesh_quality(one).mesh_q == rows[1][0]
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    st.one_of(st.integers(3, 64), st.integers(65, 500)),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_mesh_steps_match_the_reference_past_the_repeat(n, seed):
+    # mesh_steps stops stepping at the first state equal to the state two
+    # steps back; every row and the final fan must still be the reference's
+    try:
+        m = optimal_mesh(n) if seed is None else random_mesh(n, seed)
+    except DegenerateMeshError:
+        reject()
+    states, rows = reference_trajectory(m, 1100)
+    repeat = next(s for s in range(2, len(states)) if states[s] == states[s - 2])
+    block = max(1, min(simple_mesh._STEP_BLOCK, FACE_BLOCK // n))
+    wanted = {0, 1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 1, 1100}
+    wanted |= set(range(repeat - 2, repeat + 3))
+    for steps in sorted(wanted):
+        got, final = mesh_steps(m, steps)
+        assert got.tolist() == rows[: steps + 1]
+        assert final.angles.tobytes() == np.array(states[steps]).tobytes()
+        expected = SimpleMeshAngles(*states[steps]).constraint_residuals()
+        assert final.constraint_residuals() == expected
+
+
+def test_mesh_steps_stop_stepping_a_repeating_fan(monkeypatch):
+    m = random_mesh(30, 4)
+    calls = Counter()
+
+    def counted(*args, _inner=simple_mesh.fan_step, **kwargs):
+        calls["fan_step"] += 1
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(simple_mesh, "fan_step", counted)
+    rows, _ = mesh_steps(m, 1100)
+    assert calls["fan_step"] <= 128
+    assert len(rows) == 1101
+    assert rows[-2:].tolist() == rows[-4:-2].tolist()
+
+
+@functools.cache
+def reference_table(n, seed):
+    return reference_trajectory(random_mesh(n, seed), STEP_CLAMP)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.integers(0, 3),
+    st.one_of(st.integers(0, STEP_CLAMP), st.integers(0, 10**6)),
+)
+def test_simple_mesh_steps_over_the_whole_range(n, seed, steps):
+    argv = ["simple-mesh", "--n", str(n), "--random", str(seed), "--steps", str(steps), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if steps > STEP_CLAMP:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: --steps must be <= {STEP_CLAMP}\n"
+        return
+    assert code == 0
+    table = [
+        [row["mesh_q"], row["q_min"], row["q_max"], row["max_residual"]]
+        for row in json.loads(out.getvalue())["steps"]
+    ]
+    assert table == reference_table(n, seed)[: steps + 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, st.tuples(st.just(3), st.integers(3, 40)), elements=st.floats(0.0, 4.0)))
 def test_fan_step_into_its_own_fan_is_exact(x):
@@ -300,8 +381,8 @@ def test_fan_step_into_its_own_fan_is_exact(x):
 
 
 def test_mesh_steps_of_a_5000_fan_step_one_fan_in_place():
-    # past FACE_BLOCK triangles a block holds one step, so fan_step writes
-    # each fan over the one it reads
+    # past FACE_BLOCK triangles a block holds one step, so the two states
+    # carried into the next block overlap the ones they replace
     m = optimal_mesh(5000)
     rows, final = mesh_steps(m, 3)
     state = m
@@ -498,6 +579,16 @@ def test_geometry_rejects_flipped_orientation():
 def test_geometry_total_area():
     geom, _ = reconstruct_geometry(optimal_mesh(4), 1.0)
     assert geom.total_area() == pytest.approx(2.0, rel=1e-12)  # |diag| 2 square
+
+
+@pytest.mark.parametrize("n", [3, 7, 40, 500])
+def test_geometry_areas_are_the_per_triangle_areas(n):
+    geom, _ = reconstruct_geometry(random_mesh(n, 2), 0.37)
+    assert geom.total_area() == math.fsum(t.area() for t in geom.triangles())
+    inner, boundary = geom.inner_vertex, list(geom.boundary)
+    boundary[n // 2 + 1] = boundary[n // 2]  # triangle n // 2 is flat
+    with pytest.raises(MeshConstraintError, match=f"^fan triangle {n // 2} is degenerate or flipped$"):
+        SimpleMeshGeometry(inner, boundary)
 
 
 # --- JSON interchange -----------------------------------------------------------------
