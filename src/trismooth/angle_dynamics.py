@@ -105,9 +105,6 @@ class QualityValue:
 
     q: float
 
-    def __float__(self) -> float:
-        return self.q
-
 
 @dataclass(frozen=True)
 class CoefficientSequence:
@@ -125,14 +122,6 @@ class CoefficientSequence:
         if k == 0:
             return 0
         return self.values[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def averaging_matrix() -> np.ndarray:
-    """Linear action on the angle vector: zero diagonal, 1/2 elsewhere."""
-    return np.full((3, 3), 0.5) - 0.5 * np.eye(3)
 
 
 def after_steps(x, fixed, n: int):

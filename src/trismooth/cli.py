@@ -123,7 +123,10 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
         kinds, noun = ((int,), "integers") if count is None else ((int, float), "numbers")
         if any(type(v) not in kinds for v in value):
             raise ValueError(f"{flag} values must be {noun}")
-        items = [convert(v) for v in value]
+        try:
+            items = [convert(v) for v in value]
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{flag} holds an integer too large for a float") from None
     else:
         items = [convert(tok) for tok in str(value).split(",") if count or tok.strip()]
     if count is not None:
@@ -323,7 +326,11 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
         geometry, _ = reconstruct_geometry(final, radius)
         vertices = (geometry.inner_vertex,) + geometry.boundary
         triangles = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
-        written.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
+        try:
+            model = MeshModel(vertices, triangles)
+        except ValueError as exc:  # face i is fan triangle i, too thin for floats
+            raise ArithmeticError(f"cannot draw the fan: {exc}") from None
+        written.append(_write_svg(args, args.svg, model))
     if args.output:
         save_mesh_angles(final, args.output)
         written.insert(0, f"wrote {args.output}")

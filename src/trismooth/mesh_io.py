@@ -612,9 +612,6 @@ class ColorMap:
             stops.append((q, _parse_hex_color(color_text)))
         return cls(tuple(stops))
 
-    def color(self, q: float) -> str:
-        return self.colors(np.array([q]))[0]
-
     def colors(self, q: np.ndarray) -> list[str]:
         """``#rrggbb`` for each quality in ``q``: linear between the two
         stops around it, rounded half up; the end stops' colours outside."""

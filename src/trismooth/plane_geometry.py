@@ -117,9 +117,6 @@ class GrowthFactor:
 
     f: float
 
-    def __float__(self) -> float:
-        return self.f
-
 
 def _vertex_angle(p: Point2, q: Point2, r: Point2) -> float:
     # angle at p between directions to q and to r

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .angle_dynamics import PI, AngleTriple, QualityValue, after_steps, angle_ratio
-from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows
+from .angle_dynamics import PI, QualityValue, after_steps, angle_ratio
+from .plane_geometry import FACE_BLOCK, Point2, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
@@ -119,9 +120,6 @@ class SimpleMeshAngles:
     @property
     def n_triangles(self) -> int:
         return len(self.alpha)
-
-    def triangle(self, i: int) -> AngleTriple:
-        return AngleTriple(self.alpha[i], self.beta[i], self.gamma[i])
 
     def constraint_residuals(self) -> ConstraintResiduals:
         """The residuals measured when the mesh was built."""
@@ -224,17 +222,6 @@ class SimpleMeshGeometry:
         c = np.roll(b, -1, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             return (b[:, 0] - a.x) * (c[:, 1] - a.y) - (b[:, 1] - a.y) * (c[:, 0] - a.x)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.boundary)
-
-    def triangle(self, i: int) -> TrianglePoints:
-        nxt = self.boundary[(i + 1) % len(self.boundary)]
-        return TrianglePoints(self.inner_vertex, self.boundary[i], nxt)
-
-    def triangles(self) -> tuple[TrianglePoints, ...]:
-        return tuple(self.triangle(i) for i in range(len(self.boundary)))
 
     def total_area(self) -> float:
         return math.fsum((0.5 * np.abs(self._doubled_areas())).tolist())
@@ -444,17 +431,6 @@ def reconstruct_geometry(
     return geometry, ClosureResidual(radius=radius_residual, turn=turn_residual)
 
 
-def mesh_to_dict(m: SimpleMeshAngles) -> dict:
-    """Interchange form: {"N": ..., "triangles": [{"alpha": ...}, ...]}."""
-    return {
-        "N": m.n_triangles,
-        "triangles": [
-            {"alpha": m.alpha[i], "beta": m.beta[i], "gamma": m.gamma[i]}
-            for i in range(m.n_triangles)
-        ],
-    }
-
-
 def mesh_from_dict(data: dict) -> SimpleMeshAngles:
     """Validate and build a mesh from its interchange form (radians)."""
     if not isinstance(data, dict):
@@ -470,9 +446,7 @@ def mesh_from_dict(data: dict) -> SimpleMeshAngles:
         raise MeshConstraintError(
             f'"N" = {n!r} does not match {len(triangles)} triangle records'
         )
-    alpha: list[float] = []
-    beta: list[float] = []
-    gamma: list[float] = []
+    rows: tuple[list[float], ...] = ([], [], [])
     for i, rec in enumerate(triangles):
         if not isinstance(rec, dict):
             raise MeshConstraintError(f"triangle {i}: record must be an object")
@@ -482,26 +456,35 @@ def mesh_from_dict(data: dict) -> SimpleMeshAngles:
             raise MeshConstraintError(
                 f"triangle {i}: missing angle {exc}"
             ) from exc
-        for name, v in (("alpha", a), ("beta", b), ("gamma", g)):
+        for name, v, row in zip(_NAMES, (a, b, g), rows):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise MeshConstraintError(
                     f"triangle {i}: {name} must be a number, got {v!r}"
                 )
-        alpha.append(float(a))
-        beta.append(float(b))
-        gamma.append(float(g))
-    return SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
+            try:
+                row.append(float(v))
+            except OverflowError:  # an int past the float range
+                raise MeshConstraintError(
+                    f"triangle {i}: {name} is an integer too large for a float"
+                ) from None
+    return SimpleMeshAngles(*rows)
 
 
 def _read_json(path):
     """The JSON document in ``path`` (UTF-8, with or without a byte-order
-    mark).  Nesting too deep for the decoder is a JSONDecodeError as well."""
+    mark).  Nesting too deep for the decoder, and an integer longer than
+    ``int``'s digit limit, are JSONDecodeErrors as well."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("document nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other ValueError json raises
+        limit = sys.get_int_max_str_digits()
+        raise json.JSONDecodeError(f"integer over {limit} digits", text, 0) from None
 
 
 def load_mesh_angles(path) -> SimpleMeshAngles:
@@ -509,16 +492,17 @@ def load_mesh_angles(path) -> SimpleMeshAngles:
     return mesh_from_dict(_read_json(path))
 
 
-#: A triangle of ``mesh_to_dict``'s list as ``json.dumps(indent=2)`` writes
-#: it in a top-level document, each row on its own lines.
+#: A triangle of the interchange form's list as ``json.dumps(indent=2)``
+#: writes it in a top-level document, each row on its own lines.
 _TRIANGLE_ROW = '\n    {\n      "alpha": %r,\n      "beta": %r,\n      "gamma": %r\n    }'
 
 
 def mesh_json_chunks(m: SimpleMeshAngles, depth: int = 0) -> Iterator[str]:
-    """``mesh_to_dict(m)`` as ``json.dumps(indent=2)`` writes it, in pieces,
-    as the value of a key ``depth`` objects deep: each line after the first
-    indented two more spaces per level.  ``%r`` is ``json``'s text for the
-    angles, which ``_checked`` keeps finite."""
+    """The interchange form of ``m``, ``{"N": N, "triangles": [{"alpha": a,
+    "beta": b, "gamma": g}, ...]}``, as ``json.dumps(indent=2)`` writes it,
+    in pieces, as the value of a key ``depth`` objects deep: each line after
+    the first indented two more spaces per level.  ``%r`` is ``json``'s text
+    for the angles, which ``_checked`` keeps finite."""
     nl = "\n" + "  " * depth
     yield '{\n  "N": %d,\n  "triangles": ['.replace("\n", nl) % m.n_triangles
     yield from block_rows(_TRIANGLE_ROW.replace("\n", nl), ",", m.angles.T)
@@ -526,7 +510,8 @@ def mesh_json_chunks(m: SimpleMeshAngles, depth: int = 0) -> Iterator[str]:
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:
-    """``mesh_to_dict(m)`` as ``json.dump(indent=2)`` writes it, plus a newline."""
+    """The interchange form of ``m`` as ``json.dump(indent=2)`` writes it,
+    plus a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(mesh_json_chunks(m))
         fh.write("\n")

@@ -97,6 +97,17 @@ def closing_mesh(n, rng, margin=0.05):
         return SimpleMeshAngles(tuple(alpha), tuple(beta), tuple(gamma))
 
 
+def mesh_to_dict(m):
+    """A fan's interchange form, {"N": ..., "triangles": [{"alpha": ...}, ...]}:
+    the document the JSON writers are compared with."""
+    return {
+        "N": m.n_triangles,
+        "triangles": [
+            {"alpha": a, "beta": b, "gamma": g} for a, b, g in zip(m.alpha, m.beta, m.gamma)
+        ],
+    }
+
+
 @st.composite
 def angle_triples(draw, min_angle=0.05):
     """Hypothesis strategy for valid, comfortably non-degenerate triples."""

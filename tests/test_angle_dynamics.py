@@ -21,7 +21,7 @@ from trismooth import (
     quality,
     transform,
 )
-from trismooth.angle_dynamics import THIRD_PI, angle_ratio, averaging_matrix
+from trismooth.angle_dynamics import THIRD_PI, angle_ratio
 
 from conftest import angle_triples, random_triples
 
@@ -274,7 +274,6 @@ def test_quality_values():
     assert quality(AngleTriple(PI / 2, PI / 4, PI / 4)).q == pytest.approx(
         1 / 2, abs=1e-12
     )
-    assert float(quality(EQUILATERAL)) == 1.0
 
 
 def test_predict_quality_frozen_values():
@@ -361,17 +360,3 @@ def test_contraction_identity_via_iteration():
     t = AngleTriple(PI / 2, PI / 3, PI / 6)
     alpha4 = iterate(t, 4).alpha
     assert math.isclose(alpha4 - PI / 3, (PI / 6) / 16, rel_tol=1e-12)
-
-
-# --- spectrum -----------------------------------------------------------------
-
-def test_averaging_matrix_eigenvalues():
-    numeric = np.linalg.eigvalsh(averaging_matrix())
-    assert tuple(numeric) == pytest.approx((-0.5, -0.5, 1.0), abs=1e-12)
-
-
-def test_averaging_matrix_has_unit_row_sums():
-    m = averaging_matrix()
-    assert np.allclose(m.sum(axis=1), 1.0)
-    # row sums 1 make lambda = 1 a root of the characteristic polynomial
-    assert abs(np.linalg.det(m - np.eye(3))) < 1e-12

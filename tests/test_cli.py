@@ -23,11 +23,12 @@ from trismooth.simple_mesh import (
     correction_terms,
     load_mesh_angles,
     mesh_steps,
-    mesh_to_dict,
     optimal_mesh,
     random_mesh,
     reconstruct_geometry,
 )
+
+from conftest import mesh_to_dict
 
 PI = math.pi
 
@@ -352,6 +353,39 @@ def test_simple_mesh_constraint_violation_is_usage_error(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, _ = run(capsys, ["simple-mesh", "--input", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "angle, message",
+    [
+        ("1e400", "triangle 2: beta = inf is not positive"),
+        ("1" + "0" * 400, "triangle 2: beta is an integer too large for a float"),
+    ],
+    ids=["float", "integer"],
+)
+def test_simple_mesh_angle_past_float_range_is_usage_error(capsys, tmp_path, angle, message):
+    doc = mesh_to_dict(optimal_mesh(4))
+    doc["triangles"][2]["beta"] = "ANGLE"
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc).replace('"ANGLE"', angle))
+    assert run(capsys, ["simple-mesh", "--input", str(path)]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fan.json", ["simple-mesh", "--input", "{path}"]),
+        ("cfg.json", ["predict", "--config", "{path}"]),
+    ],
+)
+def test_integer_past_the_digit_limit_is_io_error(capsys, tmp_path, name, argv):
+    # int() refuses to read it, so the decoder cannot: a file-format failure
+    path = tmp_path / name
+    path.write_text('{"angles": [%s, 1, 1]}' % ("1" * (sys.get_int_max_str_digits() + 1)))
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: integer over {sys.get_int_max_str_digits()} digits")
+    assert len(err.splitlines()) == 1
 
 
 def test_simple_mesh_degenerate_step_is_numeric_error(capsys, tmp_path):
@@ -1020,6 +1054,13 @@ def test_config_string_option_takes_a_json_string(capsys, tmp_path, command, key
         ),
         ("predict", {"angles": [90, None, 30]}, "--angles values must be numbers"),
         ("construct", {"points": [[0], 0, 1, 0, 0, 1]}, "--points values must be numbers"),
+        # an integer no float can hold, like 1e400 in the same list
+        ("predict", {"angles": [10**400, 1, 1]}, "--angles holds an integer too large for a float"),
+        (
+            "construct",
+            {"points": [0, 0, -(10**400), 0, 0, 1]},
+            "--points holds an integer too large for a float",
+        ),
     ],
 )
 def test_config_list_holds_numbers(capsys, tmp_path, command, cfg, message):

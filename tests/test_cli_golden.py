@@ -56,6 +56,11 @@ INPUTS = {
     "adversarial.json": _fan(
         _ADVERSARIAL_ALPHA, [(PI - a) / 2 for a in _ADVERSARIAL_ALPHA]
     ),
+    # valid, but its first triangle is too thin for the drawing's collinearity test
+    "thin.json": _fan(
+        [1e-13] + [(2 * PI - 1e-13) / 3] * 3,
+        [(PI - 1e-13) / 2] + [(PI - (2 * PI - 1e-13) / 3) / 2] * 3,
+    ),
     "bad.json": "{not json",
     "iterate_cfg.json": json.dumps({"angles": "90,60,30", "degrees": True, "steps": 2}),
     "predict_cfg.json": json.dumps(
@@ -103,6 +108,10 @@ CASES = {
         "simple-mesh", "--n", "8", "--random", "3", "--steps", "10", "--svg", "fan.svg",
         "--output", "final.json",
     ],
+    "simple_mesh_thin_fan": ["simple-mesh", "--input", "thin.json", "--output", "final.json"],
+    "simple_mesh_thin_fan_one_step_svg": [
+        "simple-mesh", "--input", "thin.json", "--steps", "1", "--svg", "fan.svg",
+    ],
     # analyze
     "analyze_table": ["analyze", "mesh.off", "--steps", "1,2"],
     "analyze_obj_json": ["analyze", "mesh.obj", "--bins", "4", "--json"],
@@ -131,6 +140,9 @@ CASES = {
     "exit3_bad_json": ["simple-mesh", "--input", "bad.json"],
     "exit4_degenerate_fan_step": [
         "simple-mesh", "--input", "adversarial.json", "--steps", "1",
+    ],
+    "exit4_fan_too_thin_to_draw": [
+        "simple-mesh", "--input", "thin.json", "--svg", "fan.svg", "--output", "final.json",
     ],
 }
 

@@ -21,6 +21,7 @@ from trismooth import (
     Point2,
     SimpleMeshAngles,
     SimpleMeshGeometry,
+    TrianglePoints,
     angles_of,
     correction_terms,
     iterate_mesh,
@@ -38,9 +39,9 @@ from trismooth import (
 from trismooth import cli, simple_mesh
 from trismooth.angle_dynamics import STEP_CLAMP
 from trismooth.plane_geometry import FACE_BLOCK
-from trismooth.simple_mesh import mesh_from_dict, mesh_steps, mesh_to_dict
+from trismooth.simple_mesh import mesh_from_dict, mesh_steps
 
-from conftest import closing_mesh
+from conftest import closing_mesh, mesh_to_dict
 
 PI = math.pi
 
@@ -191,8 +192,8 @@ def test_transform_mesh_matches_plain_transform_at_n6():
         assert out.alpha[i] == 0.5 * (m.beta[i] + m.gamma[i])
         assert out.beta[i] == 0.5 * (m.alpha[i] + m.gamma[i])
         assert out.gamma[i] == 0.5 * (m.alpha[i] + m.beta[i])
-        plain = transform(m.triangle(i))
-        assert out.triangle(i).as_tuple() == pytest.approx(
+        plain = transform(AngleTriple(m.alpha[i], m.beta[i], m.gamma[i]))
+        assert AngleTriple(out.alpha[i], out.beta[i], out.gamma[i]).as_tuple() == pytest.approx(
             plain.as_tuple(), abs=1e-12
         )
 
@@ -540,6 +541,12 @@ def test_reconstruct_optimal_hexagon():
     assert res.radius <= 1e-12
 
 
+def fan_triangles(geom):
+    """The fan's triangles: the inner vertex and each two consecutive boundary points."""
+    ring = geom.boundary
+    return [TrianglePoints(geom.inner_vertex, p, q) for p, q in zip(ring, ring[1:] + ring[:1])]
+
+
 def test_reconstruct_roundtrip_scale_invariant():
     rng = np.random.default_rng(5)
     for n in (4, 5, 8):
@@ -547,7 +554,7 @@ def test_reconstruct_roundtrip_scale_invariant():
         for radius in (1.0, 7.3):
             geom, res = reconstruct_geometry(m, radius)
             assert res.radius <= 1e-8 and abs(res.turn) <= 1e-8
-            angs = [angles_of(t) for t in geom.triangles()]
+            angs = [angles_of(t) for t in fan_triangles(geom)]
             for i in range(n):
                 assert angs[i].alpha == pytest.approx(m.alpha[i], abs=1e-8)
                 assert angs[i].beta == pytest.approx(m.beta[i], abs=1e-8)
@@ -562,7 +569,7 @@ def test_reconstruct_reports_nonclosing_radius():
     geom, res = reconstruct_geometry(m, 1.0)
     assert res.radius > 1e-3  # honest residual, not an error
     assert abs(res.turn) <= 1e-12
-    assert geom.n_triangles == 4
+    assert len(geom.boundary) == 4
 
 
 def test_reconstruct_rejects_bad_radius():
@@ -584,7 +591,7 @@ def test_geometry_total_area():
 @pytest.mark.parametrize("n", [3, 7, 40, 500])
 def test_geometry_areas_are_the_per_triangle_areas(n):
     geom, _ = reconstruct_geometry(random_mesh(n, 2), 0.37)
-    assert geom.total_area() == math.fsum(t.area() for t in geom.triangles())
+    assert geom.total_area() == math.fsum(t.area() for t in fan_triangles(geom))
     inner, boundary = geom.inner_vertex, list(geom.boundary)
     boundary[n // 2 + 1] = boundary[n // 2]  # triangle n // 2 is flat
     with pytest.raises(MeshConstraintError, match=f"^fan triangle {n // 2} is degenerate or flipped$"):
@@ -620,6 +627,10 @@ def test_mesh_dict_validation():
     }
     with pytest.raises(MeshConstraintError):
         mesh_from_dict(not_number)
+    huge = {"N": 4, "triangles": [dict(t) for t in good["triangles"]]}
+    huge["triangles"][1]["gamma"] = 10**400
+    with pytest.raises(MeshConstraintError, match="^triangle 1: gamma is an integer too large"):
+        mesh_from_dict(huge)
     with pytest.raises(MeshConstraintError):
         mesh_from_dict([1, 2, 3])
 
