@@ -281,6 +281,8 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
         return load_mesh_angles(args.input)
     if args.n is None:
         raise ValueError("either --input or --n is required")
+    if args.n > sys.maxsize:  # no array or tuple can hold that many triangles
+        raise ValueError(f"--n must be at most {sys.maxsize}")
     if args.optimal and args.random is not None:
         raise ValueError("choose one of --optimal or --random")
     if args.optimal:
@@ -390,7 +392,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
             lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
         template = "  triangle %d: q=%.6f"
         template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
-        lines.append("".join(report.rows(template, "\n", report.q, report.predicted)))
+        table = np.column_stack((np.arange(len(report.q)), report.q, report.predicted))
+        lines.append("".join(block_rows(template, "\n", table)))
         return lines + written
 
     return report.json_chunks(), text

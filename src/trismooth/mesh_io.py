@@ -371,9 +371,7 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return len(self._report.q)
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return tuple(map(self.__getitem__, range(len(self))[t]))
+    def __getitem__(self, t: int) -> TriangleRecord:
         r, t = self._report, range(len(self))[t]  # IndexError past either end
         # AngleTriple repairs the raw angles itself; repairing twice can move them
         angles = AngleTriple(*r.raw[t].tolist())
@@ -408,11 +406,6 @@ class QualityReport:
     @property
     def triangles(self) -> Sequence[TriangleRecord]:
         return _Records(self)
-
-    def rows(self, template: str, sep: str, *columns: np.ndarray) -> Iterator[str]:
-        """Each face's index and its entries of ``columns`` through
-        ``template``, faces joined by ``sep``, in ``block_rows`` blocks."""
-        return block_rows(template, sep, np.column_stack((np.arange(len(self.q)), *columns)))
 
     def _json_layout(self, end: str = "") -> tuple[str, str, str, list[int], str]:
         """The report as ``json.dumps(indent=2)`` writes it, then ``end``."""

@@ -61,18 +61,6 @@ def correction_terms(n: int) -> CorrectionTerms:
 
 
 @dataclass(frozen=True)
-class ConstraintResiduals:
-    """Worst absolute violation of each constraint family."""
-
-    triangle_sum: float
-    apex_sum: float
-    base_sum: float
-
-    def max(self) -> float:
-        return max(self.triangle_sum, self.apex_sum, self.base_sum)
-
-
-@dataclass(frozen=True)
 class SimpleMeshAngles:
     """Angle-space state of an N-triangle fan mesh.
 
@@ -87,7 +75,7 @@ class SimpleMeshAngles:
     beta: tuple[float, ...]
     gamma: tuple[float, ...]
     angles: np.ndarray = field(init=False, repr=False, compare=False)
-    _residuals: ConstraintResiduals = field(init=False, repr=False, compare=False)
+    _residuals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, (self.alpha, self.beta, self.gamma)))
@@ -112,8 +100,8 @@ class SimpleMeshAngles:
         return m
 
     def _hold(self, x: np.ndarray, residuals: np.ndarray) -> None:
-        x.flags.writeable = False
-        values = (*map(tuple, x.tolist()), x, ConstraintResiduals(*residuals.tolist()))
+        x.flags.writeable = residuals.flags.writeable = False
+        values = (*map(tuple, x.tolist()), x, residuals)
         for name, value in zip((*_NAMES, "angles", "_residuals"), values):
             object.__setattr__(self, name, value)
 
@@ -121,8 +109,8 @@ class SimpleMeshAngles:
     def n_triangles(self) -> int:
         return len(self.alpha)
 
-    def constraint_residuals(self) -> ConstraintResiduals:
-        """The residuals measured when the mesh was built."""
+    def constraint_residuals(self) -> np.ndarray:
+        """Read-only (3,) worst triangle-, apex- and base-sum residuals, measured once."""
         return self._residuals
 
 
@@ -232,13 +220,10 @@ def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.
 
     ``k`` is the (3, N) array of :func:`_k_rows`.  Each angle gets the
     scalar expression's operations in its order, so its bits.  The sums go
-    row by row into ``out``, which may be ``x`` or overlap it; then ``x``
-    is copied first, since a row written would be read again.
+    row by row into ``out``, which must not overlap ``x``.
     """
     if out is None:
         out = np.empty(x.shape)
-    elif np.may_share_memory(x, out):
-        x = x.copy()
     a, b, g = x
     np.add(b, g, out[0])
     np.add(a, g, out[1])
@@ -380,10 +365,8 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    if n < 3:
-        raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
+    k = _k_rows(n)  # raises ValueError below 3 triangles
     conc = np.full(n, RANDOM_CONCENTRATION)
-    k = _k_rows(n)
     for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)
         alpha *= 2.0 * PI / alpha.sum()
@@ -412,6 +395,8 @@ def reconstruct_geometry(
     r_{i+1} = r_i sin(beta_i) / sin(gamma_i).  Turning is scaled by
     2 pi / (apex sum) to close exactly (that sum is within ``CONSTRAINT_TOL``
     of 2 pi for every mesh); the residuals report the raw mismatches.
+    The fan is valid, so a point or triangle that fails its check has left
+    the float range: ArithmeticError, with the check's message.
     """
     if not (first_radius > 0.0) or not math.isfinite(first_radius):
         raise ValueError(f"first radius must be positive, got {first_radius!r}")
@@ -422,12 +407,15 @@ def reconstruct_geometry(
     theta = 0.0
     r = first_radius
     points: list[Point2] = []
-    for i in range(n):
-        points.append(Point2(r * math.cos(theta), r * math.sin(theta)))
-        r *= math.sin(m.beta[i]) / math.sin(m.gamma[i])
-        theta += m.alpha[i] * scale
+    try:
+        for i in range(n):
+            points.append(Point2(r * math.cos(theta), r * math.sin(theta)))
+            r *= math.sin(m.beta[i]) / math.sin(m.gamma[i])
+            theta += m.alpha[i] * scale
+        geometry = SimpleMeshGeometry(Point2(0.0, 0.0), tuple(points))
+    except ValueError as exc:
+        raise ArithmeticError(f"cannot place the fan: {exc}") from None
     radius_residual = abs(r - first_radius) / first_radius
-    geometry = SimpleMeshGeometry(Point2(0.0, 0.0), tuple(points))
     return geometry, ClosureResidual(radius=radius_residual, turn=turn_residual)
 
 

@@ -405,6 +405,40 @@ def test_simple_mesh_degenerate_step_is_numeric_error(capsys, tmp_path):
     assert "triangle 0" in err
 
 
+@pytest.mark.parametrize("swapped", [False, True], ids=["underflow", "overflow"])
+@pytest.mark.parametrize("svg", [False, True])
+def test_simple_mesh_fan_past_float_range_is_numeric_error(capsys, tmp_path, swapped, svg):
+    # a valid fan whose radius shrinks (or, swapped, grows) about 2000-fold per
+    # triangle for 150 triangles: at radius 1 its points leave the float range
+    n, alpha = 300, 2 * PI / 300
+    small, large = [1e-5] * 150, [PI - alpha - 1e-5] * 150
+    beta = large + small if swapped else small + large
+    doc = {
+        "N": n,
+        "triangles": [{"alpha": alpha, "beta": b, "gamma": PI - alpha - b} for b in beta],
+    }
+    src = tmp_path / "fan.json"
+    src.write_text(json.dumps(doc))
+    argv = ["simple-mesh", "--input", str(src)]
+    assert run(capsys, argv + ["--steps", "3"])[0] == 0
+    code, out, err = run(capsys, argv + (["--svg", str(tmp_path / "fan.svg")] if svg else []))
+    detail = "point coordinates must be finite" if swapped else "fan triangle 48 is degenerate"
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot place the fan: {detail}")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "fan.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "n", [str(sys.maxsize + 1), "1" + "0" * 30, "1" + "0" * 400], ids=["maxsize+1", "1e30", "1e400"]
+)
+@pytest.mark.parametrize("source", [["--optimal"], ["--random", "1"]])
+def test_simple_mesh_n_past_maxsize_is_usage_error(capsys, n, source):
+    code, out, err = run(capsys, ["simple-mesh", "--n", n, *source])
+    assert (code, out) == (2, "")
+    assert err == f"error: --n must be at most {sys.maxsize}\n"
+
+
 def test_simple_mesh_random_failure_is_numeric_error(capsys):
     code, out, err = run(capsys, ["simple-mesh", "--n", "1000", "--random", "1"])
     assert code == 4
@@ -627,18 +661,18 @@ def test_analyze_json_builds_no_text_lines(capsys, tmp_path, monkeypatch):
     mesh = tmp_path / "m.off"
     mesh.write_text(MINIMAL_OFF)
     templates = Counter()
-    rows, pieces = QualityReport.rows, QualityReport._pieces
+    rows, pieces = cli.block_rows, QualityReport._pieces
 
-    def counted(report, template, *args):
+    def counted(template, *args):
         templates["text" if template.startswith("  triangle") else "json"] += 1
-        return rows(report, template, *args)
+        return rows(template, *args)
 
     def counted_pieces(report, *layouts):
         # the report files' block loop: a layout's row template is its second item
         templates.update("json" if row.startswith("    {") else "csv" for _, row, *_ in layouts)
         return pieces(report, *layouts)
 
-    monkeypatch.setattr(QualityReport, "rows", counted)
+    monkeypatch.setattr(cli, "block_rows", counted)
     monkeypatch.setattr(QualityReport, "_pieces", counted_pieces)
     code, out, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
     assert code == 0 and json.loads(out)["summary"]["count"] == 1

@@ -61,6 +61,8 @@ INPUTS = {
         [1e-13] + [(2 * PI - 1e-13) / 3] * 3,
         [(PI - 1e-13) / 2] + [(PI - (2 * PI - 1e-13) / 3) / 2] * 3,
     ),
+    # its one face is collinear and dropped, so the drawing's span is 0
+    "point.off": "OFF\n3 1 0\n1 1\n1 1\n1 1\n3 0 1 2\n",
     "bad.json": "{not json",
     "iterate_cfg.json": json.dumps({"angles": "90,60,30", "degrees": True, "steps": 2}),
     "predict_cfg.json": json.dumps(
@@ -128,6 +130,7 @@ CASES = {
         "render", "mesh.obj", "--format", "obj", "--out", "m.svg",
         "--colormap", "0:ff0000,0.5:00ff00,1:0000ff",
     ],
+    "render_no_faces_left": ["render", "point.off", "--out", "m.svg"],
     # --config
     "config_iterate_json": ["iterate", "--config", "iterate_cfg.json", "--json"],
     "config_flag_overrides": ["iterate", "--config", "iterate_cfg.json", "--steps", "4"],
