@@ -41,10 +41,12 @@ from .mesh_io import (
 from .plane_geometry import (
     Point2,
     TrianglePoints,
+    _distinct_text,
     angles_of,
     block_rows,
     construct_transformed,
     growth_factor,
+    measure_faces,
     rescale_to_area,
 )
 from .simple_mesh import (
@@ -57,7 +59,6 @@ from .simple_mesh import (
     optimal_mesh,
     random_mesh,
     reconstruct_geometry,
-    save_mesh_angles,
 )
 
 EXIT_OK = 0
@@ -281,8 +282,8 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
         return load_mesh_angles(args.input)
     if args.n is None:
         raise ValueError("either --input or --n is required")
-    if args.n > sys.maxsize:  # no array or tuple can hold that many triangles
-        raise ValueError(f"--n must be at most {sys.maxsize}")
+    if args.n > sys.maxsize // 24:  # a (3, N) float array must fit numpy's size limit
+        raise ValueError(f"--n must be at most {sys.maxsize // 24}")
     if args.optimal and args.random is not None:
         raise ValueError("choose one of --optimal or --random")
     if args.optimal:
@@ -294,22 +295,24 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
 
 #: A row of ``simple-mesh``'s step table as ``json.dumps(indent=2)`` writes it.
 _STEP_ROW = (
-    '\n    {\n      "step": %d,\n      "mesh_q": %r,\n      "q_min": %r,\n'
-    '      "q_max": %r,\n      "max_residual": %r\n    }'
+    '\n    {\n      "step": %d,\n      "mesh_q": %s,\n      "q_min": %s,\n'
+    '      "q_max": %s,\n      "max_residual": %s\n    }'
 )
 
 
-def _simple_mesh_json(document: dict, rows, final: SimpleMeshAngles) -> Iterator[str]:
-    """``document`` with its step table and final fan as ``json.dumps(indent=2)``
-    writes it, in pieces.  ``%r`` is ``json``'s text for every table value:
-    each fan measured passed ``simple_mesh._checked``, so its angles, and the
-    ratios and residuals measured from them, are finite."""
+def _simple_mesh_json(document: dict, rows, fan) -> Iterator[str]:
+    """``document`` with its step table and the final fan's ``mesh_json_chunks``
+    ``fan`` as ``json.dumps(indent=2)`` writes it, in pieces.  The table's values
+    go through ``_distinct_text``: each fan measured passed ``_checked``, so its
+    ratios and residuals (absolute values) are finite and >= 0."""
     head, _, rest = json.dumps(document, indent=2).partition('"steps": []')
     middle, _, tail = rest.partition('"final": {}')
     yield head + '"steps": ['
-    yield from block_rows(_STEP_ROW, ",", np.column_stack((np.arange(len(rows)), rows)))
+    table = np.column_stack((np.arange(len(rows)), _distinct_text(rows)))
+    yield from block_rows(_STEP_ROW, ",", table)
     yield "\n  ]" + middle + '"final": '
-    yield from mesh_json_chunks(final, 1)
+    for chunk in fan:  # the value of a key one level deep: lines indented two more
+        yield chunk.replace("\n", "\n  ")
     yield tail
 
 
@@ -324,17 +327,26 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     if args.svg:
         # draw the final fan with the starting fan's area
         start_geom, _ = reconstruct_geometry(mesh, 1.0)
-        radius = math.sqrt(start_geom.total_area() / geometry.total_area())
-        geometry, _ = reconstruct_geometry(final, radius)
-        vertices = (geometry.inner_vertex,) + geometry.boundary
-        triangles = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
         try:
-            model = MeshModel(vertices, triangles)
-        except ValueError as exc:  # face i is fan triangle i, too thin for floats
-            raise ArithmeticError(f"cannot draw the fan: {exc}") from None
+            radius = math.sqrt(start_geom.total_area() / geometry.total_area())
+        except ArithmeticError:  # an area sum past the float range, or a zero area
+            radius = math.nan
+        if not 0.0 < radius < math.inf:  # false for NaN, as inf - inf areas give
+            raise ArithmeticError("cannot draw the fan: its area leaves the float range")
+        geometry, _ = reconstruct_geometry(final, radius)
+        ring = np.arange(1, n + 1, dtype=np.int64)  # face i is (0, i + 1, i + 2) around the ring
+        faces = np.column_stack((np.zeros_like(ring), ring, np.roll(ring, -1)))
+        flat, angles = measure_faces(geometry.xy, faces)
+        if flat.any():  # as MeshModel checks; face i is fan triangle i, too thin for floats
+            i = int(flat.argmax())
+            raise ArithmeticError(f"cannot draw the fan: triangle {i} is degenerate (collinear)")
+        model = MeshModel.__new__(MeshModel)._keep(geometry.xy, faces, (), angles)
         written.append(_write_svg(args, args.svg, model))
+    fan = mesh_json_chunks(final)
     if args.output:
-        save_mesh_angles(final, args.output)
+        fan = list(fan)  # each angle's text, made once for the file and stdout
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines([*fan, "\n"])  # as save_mesh_angles writes it
         written.insert(0, f"wrote {args.output}")
 
     def text() -> list[str]:
@@ -371,7 +383,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
             "turn_residual": residual.turn,
         },
     }
-    return _simple_mesh_json(doc, rows, final), text
+    return _simple_mesh_json(doc, rows, fan), text
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:

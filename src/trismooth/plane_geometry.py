@@ -135,11 +135,10 @@ def angles_of(tri: TrianglePoints) -> AngleTriple:
     )
 
 
-def _mapped(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # math's hypot and atan2, not numpy's: those differ in the last bit
-    return np.fromiter(map(fn, x.flat, y.flat), dtype=float, count=x.size).reshape(
-        x.shape
-    )
+def _mapped(fn, x: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    # math's functions (hypot, atan2, sin, cos), not numpy's: those differ in the last bit
+    values = map(fn, x.flat, *(a.flat for a in rest))
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
 def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +173,16 @@ def block_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
         block = table[start : start + FACE_BLOCK]
         text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
         yield sep + text if start else text
+
+
+def _distinct_text(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each of ``values`` (``json``'s text), as an object array of
+    their shape for ``block_rows``' ``%s`` templates, each distinct value
+    formatted once.  ``np.unique`` merges -0.0 with 0.0: the values must be
+    finite and >= 0.  Its inverse is flat or shaped by numpy version."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return text[inverse.reshape(values.shape)]
 
 
 def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,11 +17,12 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
+from itertools import starmap
 
 import numpy as np
 
 from .angle_dynamics import PI, QualityValue, after_steps, angle_ratio
-from .plane_geometry import FACE_BLOCK, Point2, block_rows
+from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _mapped, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
@@ -116,14 +117,31 @@ class SimpleMeshAngles:
 
 def _residuals(x: np.ndarray) -> np.ndarray:
     """Triangle-, apex- and base-sum residuals (B, 3) of (B, 3, N) fans."""
-    n = x.shape[-1]
-    return np.column_stack(
-        (
-            np.abs(x[:, 0] + x[:, 1] + x[:, 2] - PI).max(axis=1),
-            [abs(math.fsum(a) - 2.0 * PI) for a in x[:, 0].tolist()],
-            [abs(math.fsum(b) - (n - 2) * PI / 2.0) for b in x[:, 1].tolist()],
-        )
-    )
+    b, _, n = x.shape
+    sums = _row_sums(x[:, :2].reshape(2 * b, n)).reshape(b, 2)  # apex, base
+    tri = np.abs(x[:, 0] + x[:, 1] + x[:, 2] - PI).max(axis=1)
+    return np.column_stack((tri, np.abs(sums - [2.0 * PI, (n - 2) * PI / 2.0])))
+
+
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of ``v`` (B, N), positive and finite values.
+
+    Each value splits exactly into h on a grid of 2**-c and the rest v - h.
+    With b = (N - 1).bit_length() and the block's frexp exponents spanning at
+    most 53 - 2b, either part's N values are integers times one power of two,
+    subnormals too, whose sum fits 53 bits: every partial sum is exact in any
+    order, and adding the two sums rounds the exact sum half to even, as fsum
+    does.  A wider span, or a block under 256 values (where it is faster),
+    takes fsum row by row.
+    """
+    if v.size >= 256:
+        e_min, e_max = np.frexp([v.min(), v.max()])[1].tolist()
+        b = (v.shape[1] - 1).bit_length()
+        if e_max - e_min + 2 * b <= 53:
+            c = 53 - b - e_max  # h * 2**c < 2**(53 - b); ldexp, as 2.0**c can overflow
+            h = np.ldexp(np.floor(np.ldexp(v, c)), -c)
+            return h.sum(axis=1) + (v - h).sum(axis=1)
+    return np.array([math.fsum(row) for row in v.tolist()])
 
 
 def _checked(x: np.ndarray, transformed: bool = False) -> np.ndarray:
@@ -185,34 +203,57 @@ class ClosureResidual:
     turn: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimpleMeshGeometry:
-    """Coordinates of a fan mesh: interior vertex plus ordered boundary."""
+    """Coordinates of a fan mesh: interior vertex plus ordered boundary.
+
+    ``xy`` holds them as one read-only (N + 1, 2) array, the interior vertex
+    first; ``inner_vertex`` and ``boundary`` are Point2 views of it, built
+    when first read, as MeshModel's are.  The areas are measured once."""
 
     inner_vertex: Point2
     boundary: tuple[Point2, ...]
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    _areas: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        if len(self.boundary) < 3:
+    def __init__(self, inner_vertex: Point2, boundary) -> None:
+        boundary = tuple(boundary)
+        self._keep(np.array([(p.x, p.y) for p in (inner_vertex, *boundary)], dtype=float))
+        # the views are the objects given
+        self.__dict__.update(inner_vertex=inner_vertex, boundary=boundary)
+
+    def _keep(self, xy: np.ndarray) -> SimpleMeshGeometry:
+        """Check and keep (N + 1, 2) ``xy``.  Each area is ``doubled_signed_area``'s
+        operations in order: overflow gives inf or NaN, and a NaN area passes."""
+        if len(xy) < 4:
             raise MeshConstraintError("fan geometry needs >= 3 boundary points")
-        flat = self._doubled_areas() <= 0.0
+        (ax, ay), b = xy[0], xy[1:]
+        c = np.roll(b, -1, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = (b[:, 0] - ax) * (c[:, 1] - ay) - (b[:, 1] - ay) * (c[:, 0] - ax)
+        flat = areas <= 0.0
         if flat.any():
             raise MeshConstraintError(
                 f"fan triangle {int(flat.argmax())} is degenerate or flipped"
             )
+        xy.flags.writeable = areas.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "_areas", areas)
+        return self
 
-    def _doubled_areas(self) -> np.ndarray:
-        """Every triangle's ``TrianglePoints.doubled_signed_area``, (N,), with
-        its operations in their order; overflow gives inf or NaN, as floats do."""
-        a = self.inner_vertex
-        b = np.array([(p.x, p.y) for p in self.boundary])
-        c = np.roll(b, -1, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (b[:, 0] - a.x) * (c[:, 1] - a.y) - (b[:, 1] - a.y) * (c[:, 0] - a.x)
+    def __getattr__(self, name: str):
+        # called only for what the instance lacks: build a view once and keep it
+        if name == "inner_vertex":
+            value = Point2(*self.xy[0].tolist())
+        elif name == "boundary":
+            value = tuple(starmap(Point2, self.xy[1:].tolist()))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def total_area(self) -> float:
-        return math.fsum((0.5 * np.abs(self._doubled_areas())).tolist())
+        return math.fsum((0.5 * np.abs(self._areas)).tolist())
 
 
 def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -400,23 +441,26 @@ def reconstruct_geometry(
     """
     if not (first_radius > 0.0) or not math.isfinite(first_radius):
         raise ValueError(f"first radius must be positive, got {first_radius!r}")
-    n = m.n_triangles
     turn = math.fsum(m.alpha)
-    turn_residual = turn - 2.0 * PI
     scale = 2.0 * PI / turn
-    theta = 0.0
-    r = first_radius
-    points: list[Point2] = []
+    alpha, beta, gamma = m.angles
+    # accumulate runs left to right: each value gets a running loop's operations
+    theta = np.add.accumulate(np.concatenate(([0.0], alpha[:-1] * scale)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = _mapped(math.sin, beta) / _mapped(math.sin, gamma)
+        r = np.multiply.accumulate(np.concatenate(([first_radius], ratios)))
+        xy = np.zeros((len(alpha) + 1, 2))
+        xy[1:, 0] = r[:-1] * _mapped(math.cos, theta)
+        xy[1:, 1] = r[:-1] * _mapped(math.sin, theta)
     try:
-        for i in range(n):
-            points.append(Point2(r * math.cos(theta), r * math.sin(theta)))
-            r *= math.sin(m.beta[i]) / math.sin(m.gamma[i])
-            theta += m.alpha[i] * scale
-        geometry = SimpleMeshGeometry(Point2(0.0, 0.0), tuple(points))
+        off = ~np.isfinite(xy).all(axis=1)
+        if off.any():  # Point2 raises for the first point off the float range
+            Point2(*xy[off.argmax()].tolist())
+        geometry = SimpleMeshGeometry.__new__(SimpleMeshGeometry)._keep(xy)
     except ValueError as exc:
         raise ArithmeticError(f"cannot place the fan: {exc}") from None
-    radius_residual = abs(r - first_radius) / first_radius
-    return geometry, ClosureResidual(radius=radius_residual, turn=turn_residual)
+    radius = abs(r[-1].item() - first_radius) / first_radius
+    return geometry, ClosureResidual(radius=radius, turn=turn - 2.0 * PI)
 
 
 def mesh_from_dict(data: dict) -> SimpleMeshAngles:
@@ -482,19 +526,17 @@ def load_mesh_angles(path) -> SimpleMeshAngles:
 
 #: A triangle of the interchange form's list as ``json.dumps(indent=2)``
 #: writes it in a top-level document, each row on its own lines.
-_TRIANGLE_ROW = '\n    {\n      "alpha": %r,\n      "beta": %r,\n      "gamma": %r\n    }'
+_TRIANGLE_ROW = '\n    {\n      "alpha": %s,\n      "beta": %s,\n      "gamma": %s\n    }'
 
 
-def mesh_json_chunks(m: SimpleMeshAngles, depth: int = 0) -> Iterator[str]:
+def mesh_json_chunks(m: SimpleMeshAngles) -> Iterator[str]:
     """The interchange form of ``m``, ``{"N": N, "triangles": [{"alpha": a,
     "beta": b, "gamma": g}, ...]}``, as ``json.dumps(indent=2)`` writes it,
-    in pieces, as the value of a key ``depth`` objects deep: each line after
-    the first indented two more spaces per level.  ``%r`` is ``json``'s text
-    for the angles, which ``_checked`` keeps finite."""
-    nl = "\n" + "  " * depth
-    yield '{\n  "N": %d,\n  "triangles": ['.replace("\n", nl) % m.n_triangles
-    yield from block_rows(_TRIANGLE_ROW.replace("\n", nl), ",", m.angles.T)
-    yield "\n  ]\n}".replace("\n", nl)
+    in pieces.  Each distinct angle is ``repr``'d once: that is ``json``'s
+    text for the angles, which ``_checked`` keeps finite and positive."""
+    yield '{\n  "N": %d,\n  "triangles": [' % m.n_triangles
+    yield from block_rows(_TRIANGLE_ROW, ",", _distinct_text(m.angles.T))
+    yield "\n  ]\n}"
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:

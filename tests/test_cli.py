@@ -429,14 +429,53 @@ def test_simple_mesh_fan_past_float_range_is_numeric_error(capsys, tmp_path, swa
     assert not (tmp_path / "fan.svg").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "3", "20"])
+def test_simple_mesh_svg_of_a_fan_whose_area_leaves_the_float_range(capsys, tmp_path, steps):
+    # valid, and placed at radius 1, but its points reach about 1e166: the
+    # doubled areas come out as inf - inf = NaN, so no drawing radius exists
+    n, alpha = 300, 2 * PI / 300
+    beta = [PI - alpha - 1e-5] * 50 + [1e-5] * 50 + [(PI - alpha) / 2] * 200
+    doc = {
+        "N": n,
+        "triangles": [{"alpha": alpha, "beta": b, "gamma": PI - alpha - b} for b in beta],
+    }
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps(doc))
+    argv = ["simple-mesh", "--input", str(src), "--steps", steps]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--svg", str(tmp_path / "w.svg"), "--output", str(tmp_path / "f.json")])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cannot draw the fan: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
+def test_simple_mesh_svg_builds_no_points(monkeypatch, capsys, tmp_path):
+    made = Counter()
+
+    def counted(self, _inner=trismooth.Point2.__post_init__):
+        made["Point2"] += 1
+        _inner(self)
+
+    monkeypatch.setattr(trismooth.Point2, "__post_init__", counted)
+    argv = ["simple-mesh", "--n", "40", "--random", "7", "--steps", "200", "--json"]
+    argv += ["--svg", str(tmp_path / "f.svg"), "--output", str(tmp_path / "f.json")]
+    assert run(capsys, argv)[0] == 0
+    assert made["Point2"] == 0
+
+
 @pytest.mark.parametrize(
-    "n", [str(sys.maxsize + 1), "1" + "0" * 30, "1" + "0" * 400], ids=["maxsize+1", "1e30", "1e400"]
+    "n",
+    [str(sys.maxsize // 24 + 1), str(sys.maxsize), str(sys.maxsize + 1), "1" + "0" * 30, "1" + "0" * 400],
+    ids=["maxsize/24+1", "maxsize", "maxsize+1", "1e30", "1e400"],
 )
 @pytest.mark.parametrize("source", [["--optimal"], ["--random", "1"]])
 def test_simple_mesh_n_past_maxsize_is_usage_error(capsys, n, source):
+    # past sys.maxsize // 24 no (3, N) float array fits numpy's size limit:
+    # the error names --n, before anything is allocated
     code, out, err = run(capsys, ["simple-mesh", "--n", n, *source])
     assert (code, out) == (2, "")
-    assert err == f"error: --n must be at most {sys.maxsize}\n"
+    assert err == f"error: --n must be at most {sys.maxsize // 24}\n"
 
 
 def test_simple_mesh_random_failure_is_numeric_error(capsys):

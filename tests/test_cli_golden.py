@@ -110,6 +110,13 @@ CASES = {
         "simple-mesh", "--n", "8", "--random", "3", "--steps", "10", "--svg", "fan.svg",
         "--output", "final.json",
     ],
+    # the fan repeats at step 57: the rows after it, and the files, come from that cycle
+    "simple_mesh_repeat_json_files": [
+        "simple-mesh", "--n", "5", "--random", "3", "--steps", "70", "--json",
+        "--output", "final.json", "--svg", "fan.svg",
+    ],
+    # every residual of the optimal fan is exactly 0.0
+    "simple_mesh_optimal_json": ["simple-mesh", "--n", "5", "--optimal", "--steps", "2", "--json"],
     "simple_mesh_thin_fan": ["simple-mesh", "--input", "thin.json", "--output", "final.json"],
     "simple_mesh_thin_fan_one_step_svg": [
         "simple-mesh", "--input", "thin.json", "--steps", "1", "--svg", "fan.svg",

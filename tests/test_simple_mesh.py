@@ -38,7 +38,7 @@ from trismooth import (
 )
 from trismooth import cli, simple_mesh
 from trismooth.angle_dynamics import STEP_CLAMP
-from trismooth.plane_geometry import FACE_BLOCK
+from trismooth.plane_geometry import FACE_BLOCK, _distinct_text
 from trismooth.simple_mesh import mesh_from_dict, mesh_steps
 
 from conftest import closing_mesh, mesh_to_dict
@@ -100,6 +100,26 @@ def reference_row(a, b, g):
     """(mesh_q, q_min, q_max, max_residual) as the per-triangle path made them."""
     ratios = [min(abg) / max(abg) for abg in zip(a, b, g)]
     return [min(ratios) / max(ratios), min(ratios), max(ratios), reference_residual(a, b, g)]
+
+
+def reference_reconstruct(m, first_radius):
+    """reconstruct_geometry as a loop over Point2s and TrianglePoints: the
+    boundary points, the closure residuals (radius, turn), or the error."""
+    turn = math.fsum(m.alpha)
+    scale = 2.0 * PI / turn
+    theta, r, points = 0.0, first_radius, []
+    try:
+        for i in range(m.n_triangles):
+            points.append(Point2(r * math.cos(theta), r * math.sin(theta)))
+            r *= math.sin(m.beta[i]) / math.sin(m.gamma[i])
+            theta += m.alpha[i] * scale
+    except ValueError as exc:
+        raise ArithmeticError(f"cannot place the fan: {exc}") from None
+    inner = Point2(0.0, 0.0)
+    for i, (p, q) in enumerate(zip(points, points[1:] + points[:1])):
+        if TrianglePoints(inner, p, q).doubled_signed_area() <= 0.0:
+            raise ArithmeticError(f"cannot place the fan: fan triangle {i} is degenerate or flipped")
+    return [(p.x, p.y) for p in points], (abs(r - first_radius) / first_radius, turn - 2.0 * PI)
 
 
 def reference_save_mesh_angles(m, path):
@@ -167,6 +187,63 @@ def test_constraint_residuals_are_a_read_only_row():
 
 
 # --- transformation ------------------------------------------------------------
+
+def test_row_sums_take_array_passes_for_a_fan_block(monkeypatch):
+    x = np.stack([random_mesh(480, seed).angles for seed in range(8)])
+    expected = [[math.fsum(row) for row in x[:, i].tolist()] for i in range(3)]
+    monkeypatch.setattr(simple_mesh.math, "fsum", None)  # any fsum call fails
+    assert [simple_mesh._row_sums(x[:, i]).tolist() for i in range(3)] == expected
+
+
+def _value_block(seed, b, n, lo, hi, ties):
+    """(b, n) positive floats: log-uniform between 10**lo and 10**hi, or
+    ``ties`` near-ties: 2 pi / n nudged by a few ulps and exact binary steps."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        base = np.nextafter(2.0 * PI / n, np.inf) * np.ldexp(1.0, rng.integers(-2, 3, (b, n)))
+        return base + np.spacing(base) * rng.integers(-3, 4, (b, n))
+    return 10.0 ** rng.uniform(lo, max(lo, hi), (b, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 64),
+    st.one_of(st.integers(1, 40), st.integers(1, 2000)),
+    st.floats(-320.0, 300.0),
+    st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 620.0)),
+    st.booleans(),
+)
+def test_row_sums_equal_fsum(seed, b, n, lo, width, ties):
+    v = _value_block(seed, b, n, lo, min(lo + width, 300.0), ties)
+    got = simple_mesh._row_sums(v)
+    assert got.shape == (b,)
+    assert got.tolist() == [math.fsum(row) for row in v.tolist()]
+
+
+def test_row_sums_at_the_edges():
+    # blocks of at least 256 values, which take array passes when they can
+    near_subnormal = np.ldexp(np.arange(1.0, 321.0).reshape(16, 20) * 12345.0, -1080)
+    huge = np.full((100, 3), 1e300)
+    # exponents span 55 with b = 2, two past the bound: the low parts' sum
+    # 2**-53 + 2**-107 would round to the tie 2**-53, and then to even
+    past_bound = np.tile([1.0, 2.0**-53 - 2.0**-55, 2.0**-55 + 2.0**-107], (100, 1))
+    assert math.fsum(past_bound[0]) == 1.0 + 2.0**-52
+    # 512 values just below 2: the high parts' sums use all 53 bits
+    low_bits = np.random.default_rng(0).integers(0, 2**20, (4, 512))
+    full = np.nextafter(2.0, 0.0) - np.spacing(1.0) * low_bits
+    blocks = (near_subnormal, huge, past_bound, full, np.empty((0, 5)), np.empty((3, 0)))
+    for v in blocks + (np.array([[5e-324, 1.0]]),):
+        assert simple_mesh._row_sums(v).tolist() == [math.fsum(row) for row in v.tolist()]
+
+
+def test_distinct_text_is_each_values_repr():
+    values = np.array([[0.1, 0.0, 0.1], [3.0, 1e-300, 0.30000000000000004]])
+    text = _distinct_text(values)
+    assert text.shape == values.shape and text.dtype == object
+    assert text.tolist() == [[repr(v) for v in row] for row in values.tolist()]
+    assert _distinct_text(np.empty((0, 4))).shape == (0, 4)
+
 
 def test_transform_mesh_fixed_points():
     hexa = optimal_mesh(6)
@@ -570,6 +647,74 @@ def test_reconstruct_reports_nonclosing_radius():
     assert res.radius > 1e-3  # honest residual, not an error
     assert abs(res.turn) <= 1e-12
     assert len(geom.boundary) == 4
+
+
+def _wide_fan(n, small, large, eps, order):
+    """A valid fan of n equal apex angles whose law-of-sines ratios swing:
+    ``small`` triangles with beta = eps, as many with gamma = eps, the rest
+    isosceles, in ``order`` (a permutation of range(n))."""
+    alpha = 2 * PI / n
+    kinds = [eps] * small + [PI - alpha - eps] * large + [(PI - alpha) / 2] * (n - 2 * small)
+    beta = [kinds[i] for i in order]
+    return SimpleMeshAngles((alpha,) * n, tuple(beta), tuple(PI - alpha - b for b in beta))
+
+
+@st.composite
+def fans_and_radii(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 300))
+        m = random_mesh(n, draw(st.integers(0, 50)))
+        m = mesh_steps(m, draw(st.sampled_from([0, 1, 2, 60])))[1]
+    else:
+        n = draw(st.integers(3, 320))
+        small = draw(st.integers(0, n // 2))
+        eps = draw(st.floats(1e-9, 0.3))
+        order = draw(st.permutations(range(n)))
+        m = _wide_fan(n, small, small, eps, order[::-1] if draw(st.booleans()) else order)
+    exponent = draw(st.one_of(st.integers(-1074, 1023), st.sampled_from([-1074, -1022, 1000, 1023])))
+    return m, 2.0**exponent * draw(st.floats(1.0, 2.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fans_and_radii())
+def test_reconstruct_matches_the_reference_loop(fan_radius):
+    m, radius = fan_radius
+    try:
+        points, residuals = reference_reconstruct(m, radius)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            reconstruct_geometry(m, radius)
+        assert str(got.value) == str(exc)
+        return
+    geom, res = reconstruct_geometry(m, radius)
+    assert geom.xy.tolist() == [[0.0, 0.0]] + [list(p) for p in points]
+    assert [(p.x, p.y) for p in geom.boundary] == points
+    assert repr((res.radius, res.turn)) == repr(residuals)
+
+
+def test_reconstruct_past_the_float_range_names_the_point_or_triangle():
+    n, order = 300, range(300)
+    grows = _wide_fan(n, 150, 150, 1e-5, [*range(150, 300), *range(150)])  # large betas first
+    shrinks = _wide_fan(n, 150, 150, 1e-5, order)
+    for m, start in ((grows, "point coordinates must be finite, got ("), (shrinks, "fan triangle 48 is degenerate")):
+        with pytest.raises(ArithmeticError) as got:
+            reconstruct_geometry(m, 1.0)
+        with pytest.raises(ArithmeticError) as expected:
+            reference_reconstruct(m, 1.0)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("cannot place the fan: " + start)
+
+
+def test_geometry_views_are_built_once_from_its_array():
+    geom, _ = reconstruct_geometry(optimal_mesh(4), 1.0)
+    assert not geom.xy.flags.writeable and geom.xy.shape == (5, 2)
+    assert "boundary" not in vars(geom) and "inner_vertex" not in vars(geom)
+    assert geom.boundary is geom.boundary and geom.inner_vertex == Point2(0.0, 0.0)
+    given_points = (Point2(1, 0), Point2(0, 1), Point2(-1, 0), Point2(0, -1))
+    built = SimpleMeshGeometry(Point2(0, 0), list(given_points))
+    assert built.boundary == given_points and built == SimpleMeshGeometry(Point2(0, 0), given_points)
+    assert built.xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    assert hash(built) == hash(SimpleMeshGeometry(Point2(0, 0), given_points))
 
 
 def test_reconstruct_rejects_bad_radius():
