@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +44,7 @@ class EquilateralTriangleError(ValueError):
     """The operation is undefined at the equilateral fixed point."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AngleTriple:
     """Labeled inner angles of a triangle, in radians, summing to pi.
 
@@ -58,15 +58,16 @@ class AngleTriple:
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        total = self.alpha + self.beta + self.gamma
-        if not math.isfinite(total) or abs(total - PI) > SUM_REPAIR_TOL:
-            raise ValueError(f"triangle angles must sum to pi, got {total!r}")
+    def __init__(self, alpha: float, beta: float, gamma: float) -> None:
+        total = alpha + beta + gamma
         if total != PI:
+            if not abs(total - PI) <= SUM_REPAIR_TOL:  # NaN and inf are far too
+                raise ValueError(f"triangle angles must sum to pi, got {total!r}")
             scale = PI / total
-            object.__setattr__(self, "alpha", self.alpha * scale)
-            object.__setattr__(self, "beta", self.beta * scale)
-            object.__setattr__(self, "gamma", self.gamma * scale)
+            alpha, beta, gamma = alpha * scale, beta * scale, gamma * scale
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+        _set_gamma(self, gamma)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -77,9 +78,33 @@ class AngleTriple:
         return (a, b, g)
 
     def is_degenerate(self) -> bool:
-        lo = min(self.alpha, self.beta, self.gamma)
-        hi = max(self.alpha, self.beta, self.gamma)
-        return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
+        lo, hi = DEGENERACY_EPS, PI - DEGENERACY_EPS
+        return not (lo < self.alpha < hi and lo < self.beta < hi and lo < self.gamma < hi)
+
+
+def _nondegenerate(t: AngleTriple) -> tuple[float, float, float]:
+    """``t``'s angles; DegenerateTriangleError if ``t`` is degenerate."""
+    if t.is_degenerate():
+        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
+    return (t.alpha, t.beta, t.gamma)
+
+
+def _field_setters(cls) -> tuple:
+    """Each field's slot ``__set__`` of a frozen slotted dataclass: its own
+    ``__init__`` sets each field once, cheaper than ``object.__setattr__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def _setstate(self, state) -> None:
+    """Unpickle a frozen slotted dataclass from its field values or, as
+    pickled before its class had slots, from a dict of them."""
+    if isinstance(state, dict):
+        state = [state[f.name] for f in fields(self)]
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
+
+
+_set_alpha, _set_beta, _set_gamma = _field_setters(AngleTriple)
 
 
 def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +124,18 @@ def _repaired_quality(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 EQUILATERAL = AngleTriple(THIRD_PI, THIRD_PI, THIRD_PI)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class QualityValue:
     """Ratio of smallest to largest inner angle; 1 only for equilateral."""
 
     q: float
+
+    def __init__(self, q: float) -> None:
+        _set_q(self, q)
+
+
+(_set_q,) = _field_setters(QualityValue)
+QualityValue.__setstate__ = _setstate
 
 
 @dataclass(frozen=True)
@@ -127,13 +159,18 @@ class CoefficientSequence:
 def after_steps(x, fixed, n: int):
     """``x`` after ``n`` steps of a map that multiplies ``x - fixed`` by -1/2.
 
-    Triangles use ``fixed`` = pi/3, fans optimal_mesh(N); floats or arrays.
-    The power of two scales exactly and underflows to 0, never overflows;
+    Triangles use ``fixed`` = pi/3, fans optimal_mesh(N); floats, arrays,
+    or a triangle's three angles as a tuple, which gives a tuple.  The
+    power of two scales exactly and underflows to 0, never overflows;
     ``n`` past ``STEP_CLAMP`` is clamped, keeping its parity.
     """
     if n > STEP_CLAMP:
         n = STEP_CLAMP + n % 2
-    return fixed + (-0.5) ** n * (x - fixed)
+    r = (-0.5) ** n
+    if type(x) is tuple:
+        a, b, g = x
+        return (fixed + r * (a - fixed), fixed + r * (b - fixed), fixed + r * (g - fixed))
+    return fixed + r * (x - fixed)
 
 
 def angle_ratio(a, b, g):
@@ -141,10 +178,13 @@ def angle_ratio(a, b, g):
 
     Floats give a float of their own type (a Python float's repr is what
     the reports write); arrays give the elementwise ratios.  The float
-    test comes first: the scalar API calls this once per triangle.
+    test comes first: the scalar API calls this once per triangle, and
+    compares as the ``min`` and ``max`` builtins do, without their calls.
     """
     if isinstance(a, float):
-        return min(a, b, g) / max(a, b, g)
+        lo = b if b < a else a
+        hi = b if b > a else a
+        return (g if g < lo else lo) / (g if g > hi else hi)
     return np.minimum(np.minimum(a, b), g) / np.maximum(np.maximum(a, b), g)
 
 
@@ -154,9 +194,7 @@ def transform(t: AngleTriple) -> AngleTriple:
     Preserves the angle sum and non-degeneracy; raises
     DegenerateTriangleError when the input is already degenerate.
     """
-    if t.is_degenerate():
-        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
-    a, b, g = t.alpha, t.beta, t.gamma
+    a, b, g = _nondegenerate(t)
     return AngleTriple(0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))
 
 
@@ -170,9 +208,7 @@ def iterate(t: AngleTriple, n: int) -> AngleTriple:
         raise ValueError("iteration count must be >= 0")
     if n == 0:
         return t
-    if t.is_degenerate():
-        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
-    return AngleTriple(*[after_steps(x, THIRD_PI, n) for x in t.as_tuple()])
+    return AngleTriple(*after_steps(_nondegenerate(t), THIRD_PI, n))
 
 
 @lru_cache(maxsize=None)
@@ -211,18 +247,21 @@ def iterate_closed_form(t: AngleTriple, n: int) -> AngleTriple:
         raise ValueError("closed-form power requires n >= 1")
     if n > CLOSED_FORM_CAP:
         return iterate(t, n)
-    if t.is_degenerate():
-        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
-    seq = coefficients(n)
-    lead = 2 * seq.a(n - 1) - seq.a(n)
-    tail = float(seq.a(n)) * PI
-    scale = float(2**n)
-    a, b, g = t.as_tuple()
+    a, b, g = _nondegenerate(t)
+    lead, tail, scale = _closed_form_terms(n)
     return AngleTriple(
         (lead * a + tail) / scale,
         (lead * b + tail) / scale,
         (lead * g + tail) / scale,
     )
+
+
+@lru_cache(maxsize=None)
+def _closed_form_terms(n: int) -> tuple[float, float, float]:
+    """iterate_closed_form's 2 a_{n-1} - a_n, a_n pi and 2^n as floats: an
+    int times a float is the int's float times it."""
+    seq = coefficients(n)
+    return float(2 * seq.a(n - 1) - seq.a(n)), float(seq.a(n)) * PI, float(2**n)
 
 
 def quality(t: AngleTriple) -> QualityValue:
@@ -249,7 +288,8 @@ def predict_quality(
     Parameters
     ----------
     t : AngleTriple
-        Initial angles.
+        Initial angles; degenerate ones raise DegenerateTriangleError for
+        n >= 1, as ``iterate`` does.
     n : int
         Step count, >= 0.  For n = 0 the current quality is returned.
     alt_even : bool
@@ -259,15 +299,14 @@ def predict_quality(
         raise ValueError("step count must be >= 0")
     if n == 0:
         return quality(t)
+    angles = _nondegenerate(t)
     if alt_even and n % 2 == 0:
         a0, _, g0 = t.sorted_desc()
         # 3 / (4^k - 1), written with 4^-k = (-1/2)^n so that large k gives 0
         quarter_k = after_steps(1.0, 0.0, n)
         b = 3.0 * quarter_k / (1.0 - quarter_k)
         return QualityValue((PI - b * a0) / (PI - b * g0))
-    return QualityValue(
-        angle_ratio(*[after_steps(x, THIRD_PI, n) for x in t.as_tuple()])
-    )
+    return QualityValue(angle_ratio(*after_steps(angles, THIRD_PI, n)))
 
 
 def _predicted_quality(angles: np.ndarray, n: int) -> np.ndarray:

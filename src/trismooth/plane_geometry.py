@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_dynamics import AngleTriple, DegenerateTriangleError
+from .angle_dynamics import AngleTriple, _nondegenerate, _setstate
 
 #: Cross products below this, relative to the squared longest edge (or the
 #: product of the direction lengths), mark collinear points (parallel lines).
@@ -45,7 +45,7 @@ class Point2:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrianglePoints:
     """A planar triangle as three labeled vertices A, B, C.
 
@@ -85,11 +85,23 @@ class TrianglePoints:
     def is_collinear(self) -> bool:
         """Area small against the squared longest edge; an ArithmeticError
         when that square leaves the float range (see ``_out_of_range``)."""
-        longest = max(self.edge_lengths())
-        longest_sq = longest * longest
-        if _out_of_range(longest_sq, longest):
-            raise _range_error(longest_sq, self.vertices())
-        return _flat(self.doubled_signed_area(), longest_sq)
+        return _measure(self)[0]
+
+
+def _measure(tri: TrianglePoints) -> tuple:
+    """One pass over ``tri``'s edges: whether it is flat, its edge lengths
+    (a, b, c), and the edge vectors BC, AC, AB as (ax, ay, bx, by, cx, cy),
+    each taken once; raises as ``is_collinear`` does."""
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
+    ax, ay = C.x - B.x, C.y - B.y
+    bx, by = C.x - A.x, C.y - A.y
+    cx, cy = B.x - A.x, B.y - A.y
+    edges = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
+    longest = max(edges)
+    longest_sq = longest * longest
+    if _out_of_range(longest_sq, longest):
+        raise _range_error(longest_sq, (A, B, C))
+    return _flat(cx * by - cy * bx, longest_sq), edges, (ax, ay, bx, by, cx, cy)
 
 
 def _flat(twice_area, longest_sq):
@@ -111,27 +123,29 @@ def _range_error(longest_sq: float, corners) -> ArithmeticError:
     return ArithmeticError(f"squared edge length underflows for vertices {corners}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrowthFactor:
     """Per-step multiplier of the edge-length triple product, > 1 always."""
 
     f: float
 
 
-def _vertex_angle(p: Point2, q: Point2, r: Point2) -> float:
-    # angle at p between directions to q and to r
-    ux, uy = q.x - p.x, q.y - p.y
-    vx, vy = r.x - p.x, r.y - p.y
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+GrowthFactor.__setstate__ = TrianglePoints.__setstate__ = _setstate
 
 
 def angles_of(tri: TrianglePoints) -> AngleTriple:
-    """Inner angles of a coordinate triangle: alpha at A, beta at B, gamma at C."""
-    if tri.is_collinear():
+    """Inner angles of a coordinate triangle: alpha at A, beta at B, gamma at C.
+
+    Each is atan2(|u x v|, u . v) of the two edges leaving its corner, some
+    of them reversed edge vectors: exact negations, and |u x v| > 0 past
+    the flatness test, so each angle keeps its bits."""
+    flat, _, (ax, ay, bx, by, cx, cy) = _measure(tri)
+    if flat:
         raise CollinearTriangleError(f"collinear vertices {tri.vertices()}")
-    A, B, C = tri.vertices()
     return AngleTriple(
-        _vertex_angle(A, B, C), _vertex_angle(B, C, A), _vertex_angle(C, A, B)
+        math.atan2(abs(cx * by - cy * bx), cx * bx + cy * by),  # AB, AC
+        math.atan2(abs(ay * cx - ax * cy), -(ax * cx + ay * cy)),  # BC, -AB
+        math.atan2(abs(bx * ay - by * ax), bx * ax + by * ay),  # -AC, -BC
     )
 
 
@@ -145,8 +159,8 @@ def _measure_block(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nd
     x, y = xy[faces, 0], xy[faces, 1]
     # as Python floats do, overflow quietly: the range test below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        # at each corner, u runs to the next corner and v to the one after,
-        # as in _vertex_angle; u is also the edge AB, BC or CA
+        # at each corner, u runs to the next corner and v to the one after;
+        # u is also the edge AB, BC or CA
         ux, uy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
         vx, vy = np.roll(x, -2, axis=1) - x, np.roll(y, -2, axis=1) - y
         cross, dot = np.abs(ux * vy - uy * vx), ux * vx + uy * vy
@@ -189,8 +203,9 @@ def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     """Collinearity flags (F,) and inner angles (F, 3) of many triangles at once.
 
     ``faces`` holds vertex indices into ``xy`` (V, 2), corners A, B, C per
-    row.  This is ``is_collinear`` and ``angles_of`` over arrays, with their
-    expressions in their order, so each face gets the scalar path's bits.
+    row.  This is ``is_collinear`` and ``angles_of`` over arrays, each angle
+    from the directions its corner sends to the next two, so each face gets
+    the scalar path's bits.
     The angles are alpha, beta, gamma before AngleTriple's sum repair.
     Raises as ``is_collinear`` does, for the first face out of float range.
     """
@@ -223,10 +238,10 @@ def construct_transformed(tri: TrianglePoints) -> TrianglePoints:
         Triangle whose labeled angles are the pairwise means of the
         input's labeled angles.  Strictly larger in area than the input.
     """
-    if tri.is_collinear():
+    flat, (a, b, c), _ = _measure(tri)
+    if flat:
         raise CollinearTriangleError(f"collinear vertices {tri.vertices()}")
-    a, b, c = tri.edge_lengths()
-    A, B, C = tri.vertices()
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
 
     def weighted(wa: float, wb: float, wc: float) -> Point2:
         w = wa + wb + wc
@@ -291,14 +306,8 @@ def construct_transformed_intersection(tri: TrianglePoints) -> TrianglePoints:
 
 def growth_factor(t: AngleTriple) -> GrowthFactor:
     """1 / (sin(alpha/2) sin(beta/2) sin(gamma/2)); 8 for equilateral."""
-    if t.is_degenerate():
-        raise DegenerateTriangleError(f"degenerate input triple {t.as_tuple()}")
-    s = (
-        math.sin(0.5 * t.alpha)
-        * math.sin(0.5 * t.beta)
-        * math.sin(0.5 * t.gamma)
-    )
-    return GrowthFactor(1.0 / s)
+    a, b, g = _nondegenerate(t)
+    return GrowthFactor(1.0 / (math.sin(0.5 * a) * math.sin(0.5 * b) * math.sin(0.5 * g)))
 
 
 def rescale_to_area(tri: TrianglePoints, target_area: float) -> TrianglePoints:

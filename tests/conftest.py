@@ -1,6 +1,7 @@
 """Shared generators for seeded random triangles and fan meshes."""
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -126,3 +127,178 @@ def coordinate_triangles(draw, min_angle=0.05):
     x = tan_b / (tan_a + tan_b)
     y = x * tan_a
     return TrianglePoints(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(x, y))
+
+
+# --- reference scalar kernels -----------------------------------------------
+# The scalar API's kernels as first written: each angle stepped on its own,
+# each edge measured where it is used.  They take and return plain tuples
+# (points as Point2), and the library's kernels must give their bits.
+
+SUM_REPAIR_TOL = 1e-9
+DEGENERACY_EPS = 1e-9
+THIRD_PI = PI / 3.0
+CLOSED_FORM_CAP = 500
+STEP_CLAMP = 1100
+COLLINEAR_REL_EPS = 1e-12
+
+
+def reference_repair(alpha, beta, gamma):
+    """AngleTriple's stored angles for these arguments (or its ValueError)."""
+    total = alpha + beta + gamma
+    if not math.isfinite(total) or abs(total - PI) > SUM_REPAIR_TOL:
+        raise ValueError(f"triangle angles must sum to pi, got {total!r}")
+    if total != PI:
+        scale = PI / total
+        return (alpha * scale, beta * scale, gamma * scale)
+    return (alpha, beta, gamma)
+
+
+def reference_is_degenerate(angles):
+    lo, hi = min(angles), max(angles)
+    return lo <= DEGENERACY_EPS or hi >= PI - DEGENERACY_EPS
+
+
+def _reference_degenerate_check(angles):
+    from trismooth import DegenerateTriangleError
+
+    if reference_is_degenerate(angles):
+        raise DegenerateTriangleError(f"degenerate input triple {tuple(angles)}")
+
+
+def _reference_step(x, fixed, n):
+    if n > STEP_CLAMP:
+        n = STEP_CLAMP + n % 2
+    return fixed + (-0.5) ** n * (x - fixed)
+
+
+def reference_iterate(angles, n):
+    if n < 0:
+        raise ValueError("iteration count must be >= 0")
+    if n == 0:
+        return tuple(angles)
+    _reference_degenerate_check(angles)
+    return reference_repair(*[_reference_step(x, THIRD_PI, n) for x in angles])
+
+
+def reference_iterate_closed_form(angles, n):
+    if n < 1:
+        raise ValueError("closed-form power requires n >= 1")
+    if n > CLOSED_FORM_CAP:
+        return reference_iterate(angles, n)
+    _reference_degenerate_check(angles)
+    seq = [0, 1, 1]  # a_0, a_1, a_2
+    while len(seq) <= n:
+        seq.append(seq[-1] + 2 * seq[-2])
+    lead = 2 * seq[n - 1] - seq[n]
+    tail = float(seq[n]) * PI
+    scale = float(2**n)
+    a, b, g = angles
+    return reference_repair(
+        (lead * a + tail) / scale, (lead * b + tail) / scale, (lead * g + tail) / scale
+    )
+
+
+def reference_quality(angles):
+    return min(angles) / max(angles)
+
+
+def reference_predict_quality(angles, n, alt_even=False):
+    """The quality the first predict_quality gave, degenerate triples too."""
+    if n < 0:
+        raise ValueError("step count must be >= 0")
+    if n == 0:
+        return reference_quality(angles)
+    if alt_even and n % 2 == 0:
+        a0, _, g0 = sorted(angles, reverse=True)
+        quarter_k = _reference_step(1.0, 0.0, n)
+        b = 3.0 * quarter_k / (1.0 - quarter_k)
+        return (PI - b * a0) / (PI - b * g0)
+    return reference_quality([_reference_step(x, THIRD_PI, n) for x in angles])
+
+
+def reference_growth_factor(angles):
+    _reference_degenerate_check(angles)
+    a, b, g = angles
+    return 1.0 / (math.sin(0.5 * a) * math.sin(0.5 * b) * math.sin(0.5 * g))
+
+
+def _reference_edges(tri):
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
+    return (
+        math.hypot(C.x - B.x, C.y - B.y),
+        math.hypot(C.x - A.x, C.y - A.y),
+        math.hypot(B.x - A.x, B.y - A.y),
+    )
+
+
+def reference_is_collinear(tri):
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
+    corners = (A, B, C)
+    longest = max(_reference_edges(tri))
+    longest_sq = longest * longest
+    if longest_sq == math.inf:
+        raise OverflowError(f"squared edge length overflows for vertices {corners}")
+    if longest_sq < sys.float_info.min and longest > 0.0:
+        raise ArithmeticError(f"squared edge length underflows for vertices {corners}")
+    twice_area = (B.x - A.x) * (C.y - A.y) - (B.y - A.y) * (C.x - A.x)
+    return abs(twice_area) <= COLLINEAR_REL_EPS * longest_sq
+
+
+def _reference_collinear_check(tri):
+    from trismooth import CollinearTriangleError
+
+    if reference_is_collinear(tri):
+        corners = (tri.a_vertex, tri.b_vertex, tri.c_vertex)
+        raise CollinearTriangleError(f"collinear vertices {corners}")
+
+
+def _reference_vertex_angle(p, q, r):
+    ux, uy = q.x - p.x, q.y - p.y
+    vx, vy = r.x - p.x, r.y - p.y
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def reference_angles_of(tri):
+    """angles_of's stored angles, after the sum repair."""
+    _reference_collinear_check(tri)
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
+    return reference_repair(
+        _reference_vertex_angle(A, B, C),
+        _reference_vertex_angle(B, C, A),
+        _reference_vertex_angle(C, A, B),
+    )
+
+
+def reference_construct_transformed(tri):
+    """construct_transformed's vertices as ((x, y), (x, y), (x, y))."""
+    _reference_collinear_check(tri)
+    a, b, c = _reference_edges(tri)
+    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
+
+    def weighted(wa, wb, wc):
+        w = wa + wb + wc
+        return (
+            (wa * A.x + wb * B.x + wc * C.x) / w,
+            (wa * A.y + wb * B.y + wc * C.y) / w,
+        )
+
+    return (weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``'s value, or its exception as (type, message): what two
+    implementations must agree on."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def float_bits(value):
+    """Every float in ``value`` (nested tuples) as its ``float.hex``: equal
+    only for the same bits, -0.0 apart from 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    return value

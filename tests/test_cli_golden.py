@@ -88,6 +88,13 @@ CASES = {
         "predict", "--angles", "100,50,30", "--degrees", "--steps", "2,4", "--alt-even",
         "--json",
     ],
+    # a degenerate triple has a quality but no step: exit 2, as iterate's
+    "predict_degenerate_step0": [
+        "predict", "--angles", "180,0,0", "--degrees", "--steps", "0",
+    ],
+    "exit2_predict_degenerate": [
+        "predict", "--angles", "180,0,0", "--degrees", "--steps", "1", "--json",
+    ],
     # construct
     "construct_table": ["construct", "--points", "0,0,1,0,0.2,0.7", "--steps", "3"],
     "construct_json_degrees_rescale": [
