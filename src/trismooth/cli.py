@@ -42,16 +42,17 @@ from .plane_geometry import (
     Point2,
     TrianglePoints,
     _distinct_text,
+    _json_rows,
     angles_of,
     block_rows,
     construct_transformed,
     growth_factor,
-    measure_faces,
     rescale_to_area,
 )
 from .simple_mesh import (
     SimpleMeshAngles,
     _read_json,
+    _write_fan,
     correction_terms,
     load_mesh_angles,
     mesh_json_chunks,
@@ -171,7 +172,7 @@ def _display(angle: float, degrees: bool) -> float:
     return math.degrees(angle) if degrees else angle
 
 
-def _table(entries: list[dict], columns: list[tuple[str, str, str]]) -> list[str]:
+def _table(entries: list, columns: list[tuple[str, object, str]]) -> list[str]:
     """Right-aligned rows of ``(header, key, format)`` columns; None shows "-"."""
     rows = [[header for header, _, _ in columns]]
     rows += [
@@ -289,15 +290,10 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
     if args.optimal:
         return optimal_mesh(args.n)
     if args.random is not None:
+        if args.random < 0:
+            raise ValueError("--random must be >= 0")
         return random_mesh(args.n, args.random)
     raise ValueError("--n needs --optimal or --random SEED")
-
-
-#: A row of ``simple-mesh``'s step table as ``json.dumps(indent=2)`` writes it.
-_STEP_ROW = (
-    '\n    {\n      "step": %d,\n      "mesh_q": %s,\n      "q_min": %s,\n'
-    '      "q_max": %s,\n      "max_residual": %s\n    }'
-)
 
 
 def _simple_mesh_json(document: dict, rows, fan) -> Iterator[str]:
@@ -305,12 +301,13 @@ def _simple_mesh_json(document: dict, rows, fan) -> Iterator[str]:
     ``fan`` as ``json.dumps(indent=2)`` writes it, in pieces.  The table's values
     go through ``_distinct_text``: each fan measured passed ``_checked``, so its
     ratios and residuals (absolute values) are finite and >= 0."""
-    head, _, rest = json.dumps(document, indent=2).partition('"steps": []')
+    fields = ("step", "mesh_q", "q_min", "q_max", "max_residual")
+    head, row, rest = _json_rows(document, "steps", dict.fromkeys(fields, "%s"))
     middle, _, tail = rest.partition('"final": {}')
-    yield head + '"steps": ['
+    yield head
     table = np.column_stack((np.arange(len(rows)), _distinct_text(rows)))
-    yield from block_rows(_STEP_ROW, ",", table)
-    yield "\n  ]" + middle + '"final": '
+    yield from block_rows(row, ",\n", table)
+    yield middle + '"final": '
     for chunk in fan:  # the value of a key one level deep: lines indented two more
         yield chunk.replace("\n", "\n  ")
     yield tail
@@ -336,24 +333,19 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
         geometry, _ = reconstruct_geometry(final, radius)
         ring = np.arange(1, n + 1, dtype=np.int64)  # face i is (0, i + 1, i + 2) around the ring
         faces = np.column_stack((np.zeros_like(ring), ring, np.roll(ring, -1)))
-        flat, angles = measure_faces(geometry.xy, faces)
-        if flat.any():  # as MeshModel checks; face i is fan triangle i, too thin for floats
-            i = int(flat.argmax())
-            raise ArithmeticError(f"cannot draw the fan: triangle {i} is degenerate (collinear)")
-        model = MeshModel.__new__(MeshModel)._keep(geometry.xy, faces, (), angles)
+        try:  # face i is fan triangle i, here too thin for floats if MeshModel finds it flat
+            model = MeshModel.__new__(MeshModel)._check(geometry.xy, faces, ())
+        except ValueError as exc:
+            raise ArithmeticError(f"cannot draw the fan: {exc}") from None
         written.append(_write_svg(args, args.svg, model))
     fan = mesh_json_chunks(final)
     if args.output:
         fan = list(fan)  # each angle's text, made once for the file and stdout
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([*fan, "\n"])  # as save_mesh_angles writes it
+        _write_fan(fan, args.output)
         written.insert(0, f"wrote {args.output}")
 
     def text() -> list[str]:
-        entries = [
-            {"step": step, "mesh_q": q, "q_min": q_min, "q_max": q_max, "max_residual": r}
-            for step, (q, q_min, q_max, r) in enumerate(rows.tolist())
-        ]
+        entries = [(step, *row) for step, row in enumerate(rows.tolist())]
         return [
             f"fan mesh with {n} triangles",
             f"correction terms: k_alpha={k.k_alpha:.12g} "
@@ -361,11 +353,11 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
             *_table(
                 entries,
                 [
-                    ("step", "step", "{}"),
-                    ("mesh_q", "mesh_q", "{:.9f}"),
-                    ("q_min", "q_min", "{:.9f}"),
-                    ("q_max", "q_max", "{:.9f}"),
-                    ("residual", "max_residual", "{:.3e}"),
+                    ("step", 0, "{}"),
+                    ("mesh_q", 1, "{:.9f}"),
+                    ("q_min", 2, "{:.9f}"),
+                    ("q_max", 3, "{:.9f}"),
+                    ("residual", 4, "{:.3e}"),
                 ],
             ),
             f"reconstruction residuals: radius={residual.radius:.3e} "

@@ -11,7 +11,6 @@ per triangle.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack
@@ -22,6 +21,7 @@ import numpy as np
 
 from .angle_dynamics import AngleTriple, _predicted_quality, _repaired_quality
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
+from .plane_geometry import _json_rows
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -82,16 +82,19 @@ class MeshModel:
         triangles = tuple(tuple(t) for t in triangles)
         xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
         faces = _index_array(triangles).reshape(len(triangles), 3)
+        self._check(xy, faces, tuple(dropped))
+        # the views are the objects given
+        self.__dict__.update(vertices=vertices, triangles=triangles)
+
+    def _check(self, xy, faces, dropped) -> "MeshModel":
+        """Check every face's indices and flatness, then keep it and its angles."""
         outside = _first_outside(faces, len(xy))
         if outside is not None:
-            t, index = outside
-            raise ValueError(f"triangle {t}: vertex index {index} out of range")
+            raise ValueError("triangle %d: vertex index %d out of range" % outside)
         flat, angles = measure_faces(xy, faces)
         if flat.any():
             raise ValueError(f"triangle {int(flat.argmax())} is degenerate (collinear)")
-        self._keep(xy, faces, tuple(dropped), angles)
-        # the views are the objects given
-        self.__dict__.update(vertices=vertices, triangles=triangles)
+        return self._keep(xy, faces, dropped, angles)
 
     def _keep(self, xy, faces, dropped, angles) -> "MeshModel":
         """Store the checked faces and their angles, if there are 3 vertices."""
@@ -389,7 +392,7 @@ class QualityReport:
     TriangleRecord from them when it is indexed.  The JSON and CSV writers
     share one block loop: it ``repr``s the angles, ``q`` and predictions of
     ``FACE_BLOCK`` faces at a time, each value once, and fills each file's
-    row template with those strings through ``%s``.  So ``write`` with both
+    rows with those strings through ``block_rows``.  So ``write`` with both
     paths formats every value once for the two files, and holds one block
     of text at a time.  For the finite floats a report holds, ``repr`` is
     the text ``json`` and ``csv`` write.
@@ -427,49 +430,35 @@ class QualityReport:
                 for d in self.dropped
             ],
         }
-        head, _, tail = json.dumps(document, indent=2).partition('"triangles": []')
-        steps = list(dict.fromkeys(self.predict_steps))  # a dict keeps one key per step
-        predicted = ",".join(f'\n        "{s}": %s' for s in steps)
-        template = (
-            '    {\n      "index": %d,\n      "alpha": %s,\n      "beta": %s,\n'
-            '      "gamma": %s,\n      "q": %s,\n      "predicted": {'
-            + (predicted + "\n      " if steps else "")
-            + "}\n    }"
-        )
-        columns = [0, 1, 2, 3] + [4 + self.predict_steps.index(s) for s in steps]
-        return head + '"triangles": [\n', template, ",\n", columns, "\n  ]" + tail + end
+        row = dict.fromkeys(("index", "alpha", "beta", "gamma", "q"), "%s")
+        row["predicted"] = dict.fromkeys(self.predict_steps, "%s")  # one key per step
+        head, template, tail = _json_rows(document, "triangles", row)
+        columns = [0, 1, 2, 3, 4] + [5 + self.predict_steps.index(s) for s in row["predicted"]]
+        return head, template, ",\n", columns, tail + end
 
     def _csv_layout(self) -> tuple[str, str, str, list[int], str]:
         """One row per face, as ``csv.writer`` writes it: no field needs quotes."""
         header = ["index", "alpha", "beta", "gamma", "q"]
         header += [f"q_pred_{s}" for s in self.predict_steps]
-        template = ",".join(["%d"] + ["%s"] * (len(header) - 1)) + "\r\n"
-        return ",".join(header) + "\r\n", template, "", list(range(len(header) - 1)), ""
+        template = ",".join(["%s"] * len(header)) + "\r\n"
+        return ",".join(header) + "\r\n", template, "", list(range(len(header))), ""
 
     def _pieces(self, *layouts) -> Iterator[list[str]]:
         """Each layout's head, rows block by block, then tail: one list per
         step, a piece per layout.  A layout is (head, row template, row
-        separator, value columns, tail); a row is the face index and its
-        values at ``columns`` of (alpha, beta, gamma, q, predicted...).  A
-        block's values are ``repr``'d once, whatever the number of layouts."""
+        separator, columns, tail); its rows are ``block_rows`` of ``columns``
+        of the block's table: the face index, then the ``repr`` of alpha,
+        beta, gamma, q and each prediction, made once and shared by every layout."""
         yield [layout[0] for layout in layouts]
-        table = np.column_stack((self.angles, self.q, self.predicted))
-        k = table.shape[1]
-        for start in range(0, len(table), FACE_BLOCK):
-            block = table[start : start + FACE_BLOCK]
-            n = len(block)
-            text = list(map(repr, block.ravel().tolist()))
-            pieces = []
-            for _, template, sep, columns, _ in layouts:
-                # interleave index and value strings in row order, by slices
-                width = len(columns) + 1
-                args = [None] * (n * width)
-                args[::width] = range(start, start + n)
-                for i, c in enumerate(columns, 1):
-                    args[i::width] = text[c::k]
-                rows = sep.join([template] * n) % tuple(args)
-                pieces.append(sep + rows if start else rows)
-            yield pieces
+        values = np.column_stack((self.angles, self.q, self.predicted))
+        for start in range(0, len(values), FACE_BLOCK):
+            block = values[start : start + FACE_BLOCK]
+            text = np.array([*map(repr, block.ravel().tolist())], dtype=object).reshape(block.shape)
+            table = np.column_stack((np.arange(start, start + len(block)), text))
+            yield [
+                (sep if start else "") + "".join(block_rows(template, sep, table[:, columns]))
+                for _, template, sep, columns, _ in layouts
+            ]
         yield [layout[-1] for layout in layouts]
 
     def json_chunks(self) -> Iterator[str]:
@@ -483,15 +472,17 @@ class QualityReport:
         ``csv_path``, either or both, in one pass over the faces.
 
         When the two name one file, it holds the CSV, as writing the JSON
-        and then the CSV would leave it.
+        and then the CSV would leave it.  Only a file written is formatted.
         """
+        if json_path is None and csv_path is None:
+            return
         with ExitStack() as stack:
             files, layouts = [], []
-            outputs = ((json_path, self._json_layout("\n")), (csv_path, self._csv_layout()))
+            outputs = ((json_path, lambda: self._json_layout("\n")), (csv_path, self._csv_layout))
             for path, layout in outputs:
                 if path is not None:
                     files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
-                    layouts.append(layout)
+                    layouts.append(layout())
             if len(files) == 2 and os.path.sameopenfile(files[0].fileno(), files[1].fileno()):
                 del files[0], layouts[0]
             for pieces in self._pieces(*layouts):

@@ -11,6 +11,7 @@ needed to keep element areas under control.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from collections.abc import Iterator
@@ -187,6 +188,17 @@ def block_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
         block = table[start : start + FACE_BLOCK]
         text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
         yield sep + text if start else text
+
+
+def _json_rows(document: dict, key: str, row: dict) -> tuple[str, str, str]:
+    """Head, ``%`` item template and tail of ``json.dumps(document, indent=2)``
+    around its top-level list ``key``, from a placeholder item ``row`` whose
+    values, nested ones too, are all "%s": head + ``block_rows(template, ",\\n",
+    table)`` + tail is the document with ``table``'s rows as that list."""
+    text = json.dumps({**document, key: [row]}, indent=2)
+    head, opening, rest = text.partition(f'\n  "{key}": [\n')  # at the top level only
+    item, closing, tail = rest.partition("\n  ]")
+    return head + opening, item.replace('"%s"', "%s"), closing + tail
 
 
 def _distinct_text(values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from itertools import starmap
 import numpy as np
 
 from .angle_dynamics import PI, QualityValue, after_steps, angle_ratio
-from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _mapped, block_rows
+from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
@@ -524,24 +524,26 @@ def load_mesh_angles(path) -> SimpleMeshAngles:
     return mesh_from_dict(_read_json(path))
 
 
-#: A triangle of the interchange form's list as ``json.dumps(indent=2)``
-#: writes it in a top-level document, each row on its own lines.
-_TRIANGLE_ROW = '\n    {\n      "alpha": %s,\n      "beta": %s,\n      "gamma": %s\n    }'
-
-
 def mesh_json_chunks(m: SimpleMeshAngles) -> Iterator[str]:
     """The interchange form of ``m``, ``{"N": N, "triangles": [{"alpha": a,
     "beta": b, "gamma": g}, ...]}``, as ``json.dumps(indent=2)`` writes it,
     in pieces.  Each distinct angle is ``repr``'d once: that is ``json``'s
     text for the angles, which ``_checked`` keeps finite and positive."""
-    yield '{\n  "N": %d,\n  "triangles": [' % m.n_triangles
-    yield from block_rows(_TRIANGLE_ROW, ",", _distinct_text(m.angles.T))
-    yield "\n  ]\n}"
+    document = {"N": m.n_triangles, "triangles": []}
+    head, row, tail = _json_rows(document, "triangles", dict.fromkeys(_NAMES, "%s"))
+    yield head
+    yield from block_rows(row, ",\n", _distinct_text(m.angles.T))
+    yield tail
+
+
+def _write_fan(chunks, path) -> None:
+    """The fan file: ``mesh_json_chunks``' text ``chunks`` and a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:
     """The interchange form of ``m`` as ``json.dump(indent=2)`` writes it,
     plus a newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(mesh_json_chunks(m))
-        fh.write("\n")
+    _write_fan(mesh_json_chunks(m), path)

@@ -453,11 +453,13 @@ def test_simple_mesh_svg_of_a_fan_whose_area_leaves_the_float_range(capsys, tmp_
 def test_simple_mesh_svg_builds_no_points(monkeypatch, capsys, tmp_path):
     made = Counter()
 
-    def counted(self, _inner=trismooth.Point2.__post_init__):
+    def counted(self, *args, _inner=trismooth.Point2.__init__, **kwargs):
         made["Point2"] += 1
-        _inner(self)
+        _inner(self, *args, **kwargs)
 
-    monkeypatch.setattr(trismooth.Point2, "__post_init__", counted)
+    monkeypatch.setattr(trismooth.Point2, "__init__", counted)
+    trismooth.Point2(0.0, 1.0)  # the count sees every construction
+    assert made.pop("Point2") == 1
     argv = ["simple-mesh", "--n", "40", "--random", "7", "--steps", "200", "--json"]
     argv += ["--svg", str(tmp_path / "f.svg"), "--output", str(tmp_path / "f.json")]
     assert run(capsys, argv)[0] == 0
@@ -476,6 +478,20 @@ def test_simple_mesh_n_past_maxsize_is_usage_error(capsys, n, source):
     code, out, err = run(capsys, ["simple-mesh", "--n", n, *source])
     assert (code, out) == (2, "")
     assert err == f"error: --n must be at most {sys.maxsize // 24}\n"
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+def test_simple_mesh_negative_seed_is_usage_error(capsys, tmp_path, config):
+    # numpy's own message names no flag: the check comes first and names --random
+    argv = ["simple-mesh", "--n", "3", "--random", "-1"]
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "random": -1}))
+        argv = ["simple-mesh", "--config", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --random must be >= 0\n"
+    assert run(capsys, ["simple-mesh", "--n", "3", "--random", "0"])[0] == 0
 
 
 def test_simple_mesh_random_failure_is_numeric_error(capsys):

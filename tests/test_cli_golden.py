@@ -153,6 +153,7 @@ CASES = {
     "exit2_bad_angle_sum": ["iterate", "--angles", "10,10,10", "--degrees"],
     "exit2_unknown_flag": ["iterate", "--bogus"],
     "exit2_render_needs_out": ["render", "mesh.off"],
+    "exit2_negative_random_seed": ["simple-mesh", "--n", "3", "--random", "-1"],
     "exit3_missing_mesh": ["analyze", "absent.off"],
     "exit3_bad_json": ["simple-mesh", "--input", "bad.json"],
     "exit4_degenerate_fan_step": [

@@ -557,6 +557,32 @@ def test_shared_block_loop_matches_reference_writers(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out.encode() == expected["json"]
 
 
+def test_reports_format_only_what_is_written(tmp_path, capsys, monkeypatch):
+    # analyze without --report or --csv makes no report pass of its own: its
+    # text lines take no repr, and --json reprs each float once, for stdout
+    path = write(tmp_path, "m.off", DROPPED_FACE_OFF)
+    report = analyze(load_mesh(path), (1, 2))
+    calls = Counter()
+
+    def counted_repr(value):
+        calls[type(value)] += 1
+        return repr(value)
+
+    def refuse(*args):
+        raise AssertionError("the JSON layout was built for a file not written")
+
+    monkeypatch.setattr(mesh_io, "repr", counted_repr, raising=False)
+    report.write()
+    assert cli.main(["analyze", str(path), "--steps", "1,2"]) == 0
+    assert calls == Counter()
+    assert cli.main(["analyze", str(path), "--steps", "1,2", "--json"]) == 0
+    assert calls == Counter({float: report.q.size * 6})
+    capsys.readouterr()
+    monkeypatch.setattr(mesh_io.QualityReport, "_json_layout", refuse)
+    report.write(csv_path=tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text().startswith("index,alpha,beta,gamma,q,q_pred_1,q_pred_2")
+
+
 def test_report_sum_repair_rejects_like_angle_triple(tmp_path):
     raw = np.array(
         [[PI / 2, PI / 3, PI / 6 + 5e-10], [1.0, 1.0, 1.0], [1.0, math.inf, 1.0], [math.nan] * 3]

@@ -1,10 +1,16 @@
 """Tests for the coordinate-level construction and edge-growth checks."""
 
+import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from trismooth import plane_geometry
 
 from trismooth import (
     EQUILATERAL,
@@ -24,6 +30,8 @@ from trismooth import (
 from trismooth.plane_geometry import (
     DegenerateIntersectionError,
     _intersect_lines,
+    _json_rows,
+    block_rows,
 )
 
 from conftest import coordinate_triangles, random_triangles
@@ -337,3 +345,53 @@ def test_growth_three_step_scalene_product_reading():
 def test_growth_check_rejects_bad_steps():
     with pytest.raises(ValueError):
         edge_product_growth_check(RIGHT_ISOCELES, 0)
+
+
+# --- JSON row templates -------------------------------------------------------
+
+
+@st.composite
+def json_tables(draw):
+    """A document with an empty top-level list "rows", a placeholder row and
+    the rows' values: finite floats for the flat keys after the index and
+    for each distinct step of an optional nested dict, which may be empty
+    and may name a step twice, as ``analyze --steps 2,2`` does."""
+    names = draw(st.lists(st.sampled_from(["alpha", "beta", "gamma", "q"]), unique=True))
+    steps = draw(st.none() | st.lists(st.integers(0, 5), max_size=5))
+    row = dict.fromkeys(["index", *names], "%s")
+    if steps is not None:
+        row["predicted"] = dict.fromkeys(steps, "%s")
+    width = len(names) + len(row.get("predicted", ()))
+    n = draw(st.integers(1, 300))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, width), elements=finite))
+    # other keys around the list, one of them a nested dict with a list of the same name
+    document = {
+        "n": n,
+        "meta": {"rows": [draw(st.floats(allow_nan=False))], "empty": []},
+        "rows": [],
+        "summary": {"steps": steps, "empty": {}},
+    }
+    return document, row, values
+
+
+def filled(row, index, values):
+    """The row of ``row``'s shape that ``values`` fill in order."""
+    it = iter(values.tolist())
+    out = {key: index if key == "index" else next(it) for key in row if key != "predicted"}
+    if "predicted" in row:
+        out["predicted"] = {step: next(it) for step in row["predicted"]}
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_tables(), st.integers(1, 7))
+def test_json_rows_fill_to_json_dumps_text(case, block):
+    document, row, values = case
+    head, template, tail = _json_rows(document, "rows", row)
+    text = np.array([[repr(v) for v in r] for r in values.tolist()], dtype=object)
+    table = np.column_stack((np.arange(len(values)), text))
+    with mock.patch.object(plane_geometry, "FACE_BLOCK", block):  # rows joined across blocks too
+        got = head + "".join(block_rows(template, ",\n", table)) + tail
+    rows = [filled(row, i, v) for i, v in enumerate(values)]
+    assert got == json.dumps({**document, "rows": rows}, indent=2)

@@ -173,3 +173,18 @@ def test_pickles_from_before_the_slots_load(data):
     loaded = pickle.loads(data)
     assert loaded == expected
     assert [type(v) for v in loaded] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [s[0] for s in samples() if not isinstance(s[0], AngleTriple)],
+    ids=lambda v: type(v).__name__,
+)
+def test_dict_state_restores_the_value(value):
+    # the state a pickle from before the slots holds: the old __dict__, whose
+    # keys need not come in field order
+    names = FIELDS[type(value)]
+    restored = object.__new__(type(value))
+    restored.__setstate__({name: getattr(value, name) for name in reversed(names)})
+    assert restored == value and hash(restored) == hash(value)
+    assert all(getattr(restored, name) is getattr(value, name) for name in names)
