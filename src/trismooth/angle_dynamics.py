@@ -96,12 +96,40 @@ def _field_setters(cls) -> tuple:
 
 
 def _setstate(self, state) -> None:
-    """Unpickle a frozen slotted dataclass from its field values or, as
-    pickled before its class had slots, from a dict of them."""
-    if isinstance(state, dict):
-        state = [state[f.name] for f in fields(self)]
-    for f, value in zip(fields(self), state):
-        object.__setattr__(self, f.name, value)
+    """Unpickle a frozen dataclass from a dict of its attributes (as pickled
+    without slots) or from its field values (with slots), through ``_store``."""
+    if not isinstance(state, dict):
+        state = dict(zip([f.name for f in fields(self)], state))
+    _store(self, **state)
+
+
+def _store(value, **named):
+    """Set ``named`` on the frozen ``value`` past its ``__setattr__`` and
+    return it; every numpy array among them is made read-only first."""
+    for name, item in named.items():
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        object.__setattr__(value, name, item)
+    return value
+
+
+class _ArrayValue:
+    """Base of the frozen dataclasses that hold numpy arrays.  They set their
+    fields through ``_store``, and unpickle through it, so every array they
+    hold is read-only.  ``_views`` maps a name to the builder of an object
+    view of the arrays, such as ``Point2``s, which is built on first read."""
+
+    _views: dict = {}
+    __setstate__ = _setstate
+
+    def __getattr__(self, name: str):
+        # called only for what the instance lacks: build a view once and keep it
+        build = type(self)._views.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = build(self)
+        _store(self, **{name: view})
+        return view
 
 
 _set_alpha, _set_beta, _set_gamma = _field_setters(AngleTriple)

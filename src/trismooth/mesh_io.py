@@ -12,6 +12,7 @@ per triangle.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from itertools import compress, starmap
 
 import numpy as np
 
-from .angle_dynamics import AngleTriple, _predicted_quality, _repaired_quality
+from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
 from .plane_geometry import _json_rows
 
@@ -56,7 +57,7 @@ def _first_outside(faces: np.ndarray, nv: int) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True, init=False)
-class MeshModel:
+class MeshModel(_ArrayValue):
     """Indexed triangle mesh held as arrays; degenerate faces are kept out
     but on record.
 
@@ -83,8 +84,7 @@ class MeshModel:
         xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
         faces = _index_array(triangles).reshape(len(triangles), 3)
         self._check(xy, faces, tuple(dropped))
-        # the views are the objects given
-        self.__dict__.update(vertices=vertices, triangles=triangles)
+        _store(self, vertices=vertices, triangles=triangles)  # the views are the objects given
 
     def _check(self, xy, faces, dropped) -> "MeshModel":
         """Check every face's indices and flatness, then keep it and its angles."""
@@ -100,22 +100,12 @@ class MeshModel:
         """Store the checked faces and their angles, if there are 3 vertices."""
         if len(xy) < 3:
             raise ValueError(f"mesh needs at least 3 vertices, got {len(xy)}")
-        for name, value in (("xy", xy), ("faces", faces), ("angles", angles)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "dropped", dropped)
-        return self
+        return _store(self, xy=xy, faces=faces, angles=angles, dropped=dropped)
 
-    def __getattr__(self, name: str):
-        # called only for what the instance lacks: build a view once and keep it
-        if name == "vertices":
-            value = tuple(starmap(Point2, self.xy.tolist()))
-        elif name == "triangles":
-            value = tuple(map(tuple, self.faces.tolist()))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    _views = {
+        "vertices": lambda m: tuple(starmap(Point2, m.xy.tolist())),
+        "triangles": lambda m: tuple(map(tuple, m.faces.tolist())),
+    }
 
     def triangle_points(self, t: int) -> TrianglePoints:
         i, j, k = self.triangles[t]
@@ -382,20 +372,20 @@ class _Records(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
-class QualityReport:
+class QualityReport(_ArrayValue):
     """Per-triangle quality of a mesh, held as columns, and a histogram summary.
 
     ``raw`` is each face's angles as measured (F, 3), ``angles`` the same
     after AngleTriple's sum repair, ``q`` their min/max-angle quality (F,)
     and ``predicted`` the closed-form quality after each of
-    ``predict_steps`` (F, S).  ``triangles[t]`` builds face t's
-    TriangleRecord from them when it is indexed.  The JSON and CSV writers
-    share one block loop: it ``repr``s the angles, ``q`` and predictions of
-    ``FACE_BLOCK`` faces at a time, each value once, and fills each file's
-    rows with those strings through ``block_rows``.  So ``write`` with both
-    paths formats every value once for the two files, and holds one block
-    of text at a time.  For the finite floats a report holds, ``repr`` is
-    the text ``json`` and ``csv`` write.
+    ``predict_steps`` (F, S), all read-only from ``analyze``.  Face t's
+    TriangleRecord is built from them when ``triangles[t]`` is indexed.
+    The JSON and CSV writers share one block loop: it ``repr``s the
+    angles, ``q`` and predictions of ``FACE_BLOCK`` faces at a time, each
+    value once, and fills each file's rows with those strings through
+    ``block_rows``.  So ``write`` with both paths formats every value once
+    for the two files, and holds one block of text at a time.  For the
+    finite floats a report holds, ``repr`` is the text ``json`` and ``csv`` write.
     """
 
     predict_steps: tuple[int, ...]
@@ -512,6 +502,8 @@ def analyze(
         raise ValueError("prediction steps must be >= 0")
     if bins < 1:
         raise ValueError("histogram needs at least one bin")
+    if bins > sys.maxsize // 16:  # 8-byte edges, with room to spare in numpy's size limit
+        raise ValueError(f"histogram needs at most {sys.maxsize // 16} bins")
     if not len(mesh.faces):
         raise ValueError("mesh has no valid triangles to analyze")
     angles, q = _repaired_quality(mesh.angles)
@@ -527,9 +519,8 @@ def analyze(
         bin_edges=tuple(edges.tolist()),
         bin_counts=tuple(counts.tolist()),
     )
-    return QualityReport(
-        steps, mesh.angles, angles, q, predicted, summary, mesh.dropped
-    )
+    report = QualityReport(steps, mesh.angles, angles, q, predicted, summary, mesh.dropped)
+    return _store(report, angles=angles, q=q, predicted=predicted)  # its arrays read-only
 
 
 def _parse_hex_color(text: str) -> tuple[int, int, int]:

@@ -21,7 +21,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .angle_dynamics import PI, QualityValue, after_steps, angle_ratio
+from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
 from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, block_rows
 
 #: Constraint families must hold within this absolute tolerance.
@@ -62,7 +62,7 @@ def correction_terms(n: int) -> CorrectionTerms:
 
 
 @dataclass(frozen=True)
-class SimpleMeshAngles:
+class SimpleMeshAngles(_ArrayValue):
     """Angle-space state of an N-triangle fan mesh.
 
     Invariants, enforced on construction within ``CONSTRAINT_TOL``:
@@ -93,18 +93,11 @@ class SimpleMeshAngles:
         x = x.astype(float)
         self._hold(x, _checked(x[None])[0])
 
-    @classmethod
-    def _from_checked(cls, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
-        """The fan of (3, N) array ``x``, which ``_checked`` has passed."""
-        m = cls.__new__(cls)
-        m._hold(x, residuals)
-        return m
-
-    def _hold(self, x: np.ndarray, residuals: np.ndarray) -> None:
-        x.flags.writeable = residuals.flags.writeable = False
-        values = (*map(tuple, x.tolist()), x, residuals)
-        for name, value in zip((*_NAMES, "angles", "_residuals"), values):
-            object.__setattr__(self, name, value)
+    def _hold(self, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
+        """Keep (3, N) ``x`` and the residuals ``_checked`` gave it.  Fans it
+        has passed already skip ``__post_init__``: ``__new__``, then ``_hold``."""
+        alpha, beta, gamma = map(tuple, x.tolist())
+        return _store(self, alpha=alpha, beta=beta, gamma=gamma, angles=x, _residuals=residuals)
 
     @property
     def n_triangles(self) -> int:
@@ -178,8 +171,8 @@ def _checked(x: np.ndarray, transformed: bool = False) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MeshQuality:
-    """Per-triangle min/max angle ratios (N,) and their min/max ratio."""
+class MeshQuality(_ArrayValue):
+    """Per-triangle min/max angle ratios (N,), read-only, and their min/max ratio."""
 
     ratios: np.ndarray
     mesh_q: float
@@ -204,7 +197,7 @@ class ClosureResidual:
 
 
 @dataclass(frozen=True, init=False)
-class SimpleMeshGeometry:
+class SimpleMeshGeometry(_ArrayValue):
     """Coordinates of a fan mesh: interior vertex plus ordered boundary.
 
     ``xy`` holds them as one read-only (N + 1, 2) array, the interior vertex
@@ -219,8 +212,7 @@ class SimpleMeshGeometry:
     def __init__(self, inner_vertex: Point2, boundary) -> None:
         boundary = tuple(boundary)
         self._keep(np.array([(p.x, p.y) for p in (inner_vertex, *boundary)], dtype=float))
-        # the views are the objects given
-        self.__dict__.update(inner_vertex=inner_vertex, boundary=boundary)
+        _store(self, inner_vertex=inner_vertex, boundary=boundary)  # views: the objects given
 
     def _keep(self, xy: np.ndarray) -> SimpleMeshGeometry:
         """Check and keep (N + 1, 2) ``xy``.  Each area is ``doubled_signed_area``'s
@@ -236,21 +228,12 @@ class SimpleMeshGeometry:
             raise MeshConstraintError(
                 f"fan triangle {int(flat.argmax())} is degenerate or flipped"
             )
-        xy.flags.writeable = areas.flags.writeable = False
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "_areas", areas)
-        return self
+        return _store(self, xy=xy, _areas=areas)
 
-    def __getattr__(self, name: str):
-        # called only for what the instance lacks: build a view once and keep it
-        if name == "inner_vertex":
-            value = Point2(*self.xy[0].tolist())
-        elif name == "boundary":
-            value = tuple(starmap(Point2, self.xy[1:].tolist()))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    _views = {
+        "inner_vertex": lambda g: Point2(*g.xy[0].tolist()),
+        "boundary": lambda g: tuple(starmap(Point2, g.xy[1:].tolist())),
+    }
 
     def total_area(self) -> float:
         return math.fsum((0.5 * np.abs(self._areas)).tolist())
@@ -289,7 +272,8 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     silently break the constraint identities.
     """
     x = fan_step(m.angles, _k_rows(m.n_triangles))
-    return SimpleMeshAngles._from_checked(x, _checked(x[None], transformed=True)[0])
+    residuals = _checked(x[None], transformed=True)[0]
+    return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, residuals)
 
 
 #: mesh_steps: the most steps in one (B, 3, N) block.  Fans repeat within
@@ -343,7 +327,7 @@ def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshA
         buf[:2] = buf[b : b + 2]
     else:
         fan = x[-1].copy()
-    return rows, SimpleMeshAngles._from_checked(fan, _residuals(fan[None])[0])
+    return rows, SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(fan, _residuals(fan[None])[0])
 
 
 def _quality_rows(x: np.ndarray, worst) -> np.ndarray:
@@ -372,7 +356,7 @@ def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
 def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
     """Per-triangle min/max angle ratios and their min/max ratio in turn."""
     r = angle_ratio(*m.angles)
-    return MeshQuality(r, (r.min() / r.max()).item())
+    return _store(MeshQuality(r, (r.min() / r.max()).item()), ratios=r)  # read-only ratios
 
 
 def optimal_quality(n: int) -> float:
@@ -419,7 +403,7 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
         residuals = _checked(x[None])[0]
         if fan_step(x, k).min() <= RANDOM_MIN_ANGLE:
             continue
-        return SimpleMeshAngles._from_checked(x, residuals)
+        return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, residuals)
     raise DegenerateMeshError(
         f"no valid random {n}-fan found in {RANDOM_MAX_TRIES} draws"
     )

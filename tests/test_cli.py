@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -450,6 +451,33 @@ def test_simple_mesh_svg_of_a_fan_whose_area_leaves_the_float_range(capsys, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
 
 
+def test_simple_mesh_svg_of_a_fan_whose_area_sum_overflows(capsys, tmp_path):
+    # every doubled area is finite, the largest about 3.7e306, but their sum is
+    # not: math.fsum raises OverflowError, and no drawing radius exists.  The
+    # radius grows by 1.33e154 over 50 triangles, stays for 100, shrinks back
+    # over 50, and stays at 1 for the last 100.
+    n, alpha = 300, 2 * PI / 300
+    s, ratio = PI - alpha, 1.33e154 ** (1 / 50)
+    up = math.atan2(ratio * math.sin(s), 1 + ratio * math.cos(s))  # sin(b) / sin(s - b) = ratio
+    beta = [up] * 50 + [s / 2] * 100 + [s - up] * 50 + [s / 2] * 100
+    doc = {
+        "N": n,
+        "triangles": [{"alpha": alpha, "beta": b, "gamma": PI - alpha - b} for b in beta],
+    }
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps(doc))
+    areas = reconstruct_geometry(load_mesh_angles(src), 1.0)[0]._areas
+    assert np.isfinite(areas).all() and 3e306 < areas.max() < 4e306
+    with pytest.raises(OverflowError):
+        math.fsum(areas.tolist())
+    argv = ["simple-mesh", "--input", str(src)]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--svg", str(tmp_path / "w.svg")])
+    assert (code, out) == (4, "")
+    assert err == "error: cannot draw the fan: its area leaves the float range\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
 def test_simple_mesh_svg_builds_no_points(monkeypatch, capsys, tmp_path):
     made = Counter()
 
@@ -478,6 +506,41 @@ def test_simple_mesh_n_past_maxsize_is_usage_error(capsys, n, source):
     code, out, err = run(capsys, ["simple-mesh", "--n", n, *source])
     assert (code, out) == (2, "")
     assert err == f"error: --n must be at most {sys.maxsize // 24}\n"
+
+
+BINS_LIMIT = sys.maxsize // 16
+
+
+@pytest.mark.parametrize(
+    "bins",
+    [BINS_LIMIT, BINS_LIMIT + 1, 2**63 - 1, 2**63, 10**20],
+    ids=["limit", "limit+1", "2**63-1", "2**63", "1e20"],
+)
+@pytest.mark.parametrize("how", ["flag", "config", "library"])
+def test_analyze_bins_past_the_limit_is_usage_error(capsys, tmp_path, bins, how):
+    # numpy refuses arrays past sys.maxsize bytes, some with a traceback; at the
+    # limit, the 4 EiB of bin edges fail to allocate at once: out of memory
+    path = tmp_path / "tri.off"
+    path.write_text(MINIMAL_OFF)
+    if how == "library":
+        mesh = trismooth.load_mesh(path)
+        if bins == BINS_LIMIT:
+            with pytest.raises(MemoryError):
+                trismooth.analyze(mesh, bins=bins)
+        else:
+            with pytest.raises(ValueError, match=f"^histogram needs at most {BINS_LIMIT} bins$"):
+                trismooth.analyze(mesh, bins=bins)
+        return
+    argv = ["analyze", str(path), "--bins", str(bins)]
+    if how == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"bins": bins}))
+        argv = ["analyze", str(path), "--config", str(tmp_path / "cfg.json")]
+    code, out, err = run(capsys, argv)
+    assert out == "" and len(err.splitlines()) == 1
+    if bins == BINS_LIMIT:
+        assert code == 4 and err.startswith("error: out of memory")
+    else:
+        assert (code, err) == (2, f"error: histogram needs at most {BINS_LIMIT} bins\n")
 
 
 @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
@@ -1206,3 +1269,97 @@ def test_usage_errors(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+_RATE_TRIPLE = trismooth.AngleTriple(PI / 2, PI / 3, PI / 6)
+
+#: Classified errors no other test reaches: a CLI call with its exit code, or a
+#: library call with its exception type, and the message either gives.
+CLASSIFIED_ERRORS = {
+    "config_not_an_object": (
+        ["predict", "--config", "list.json"], 2, "config file must hold a JSON object"
+    ),
+    "config_key_config": (
+        ["predict", "--config", "key.json"], 2, "config key 'config' is not allowed"
+    ),
+    "iterate_negative_steps": (
+        ["iterate", "--angles", "90,60,30", "--degrees", "--steps", "-1"], 2,
+        "--steps must be >= 0",
+    ),
+    "input_with_n": (
+        ["simple-mesh", "--input", "F", "--n", "3"], 2, "--input excludes --n/--optimal/--random"
+    ),
+    "colormap_bad_hex": (
+        ["render", "tri.off", "--out", "o.svg", "--colormap", "0:zz0000,1:000000"], 2,
+        "bad hex color 'zz0000'",
+    ),
+    "colormap_bad_position": (
+        ["render", "tri.off", "--out", "o.svg", "--colormap", "x:ff0000,1:000000"], 2,
+        "bad stop position 'x'",
+    ),
+    "fan_triangles_not_a_list": (
+        ["simple-mesh", "--input", "object.json"], 2, '"triangles" must be a list'
+    ),
+    "fan_record_not_an_object": (
+        ["simple-mesh", "--input", "record.json"], 2, "triangle 0: record must be an object"
+    ),
+    "colormap_rgb_past_255": (
+        lambda: trismooth.ColorMap(((0.0, (0, 0, 256)), (1.0, (0, 0, 0)))), ValueError,
+        "bad RGB triple (0, 0, 256)",
+    ),
+    "fan_angles_of_strings": (
+        lambda: trismooth.SimpleMeshAngles(*[("a", "b", "c")] * 3),
+        trismooth.MeshConstraintError, "angles must be numbers",
+    ),
+    "fan_geometry_two_points": (
+        lambda: trismooth.SimpleMeshGeometry(
+            trismooth.Point2(0, 0), [trismooth.Point2(1, 0), trismooth.Point2(0, 1)]
+        ),
+        trismooth.MeshConstraintError, "fan geometry needs >= 3 boundary points",
+    ),
+    "mesh_steps_negative": (
+        lambda: mesh_steps(optimal_mesh(3), -1), ValueError, "step count must be >= 0"
+    ),
+    "optimal_quality_two": (
+        lambda: trismooth.optimal_quality(2), ValueError,
+        "fan mesh needs at least 3 triangles, got 2",
+    ),
+    "coefficient_index_negative": (
+        lambda: trismooth.coefficients(3).a(-1), IndexError, "coefficient index must be >= 0"
+    ),
+    "deviations_after_negative": (
+        lambda: trismooth.deviations_after(_RATE_TRIPLE, -1), ValueError,
+        "iteration count must be >= 0",
+    ),
+    # k = 500 still gives 0.25
+    "rate_check_underflow": (
+        lambda: trismooth.convergence_rate_check(_RATE_TRIPLE, 512), ValueError,
+        "deviation underflows at k = 512",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED_ERRORS))
+def test_classified_error_messages(capsys, tmp_path, monkeypatch, name):
+    call, kind, message = CLASSIFIED_ERRORS[name]
+    if callable(call):
+        with pytest.raises(kind) as raised:
+            call()
+        assert type(raised.value) is kind and str(raised.value) == message
+        return
+    inputs = {
+        "list.json": "[]",
+        "key.json": '{"config": "x"}',
+        "tri.off": MINIMAL_OFF,
+        "object.json": '{"N": 0, "triangles": {}}',
+        "record.json": '{"N": 1, "triangles": [1]}',
+    }
+    for file_name, text in inputs.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, call) == (kind, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)  # nothing written
+
+
+def test_rate_check_holds_until_the_deviation_underflows():
+    assert trismooth.convergence_rate_check(_RATE_TRIPLE, 500) == 0.25

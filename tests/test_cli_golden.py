@@ -154,6 +154,8 @@ CASES = {
     "exit2_unknown_flag": ["iterate", "--bogus"],
     "exit2_render_needs_out": ["render", "mesh.off"],
     "exit2_negative_random_seed": ["simple-mesh", "--n", "3", "--random", "-1"],
+    # one past sys.maxsize // 16 bins; numpy's own errors named no limit
+    "exit2_bins_past_size_limit": ["analyze", "mesh.off", "--bins", "576460752303423488"],
     "exit3_missing_mesh": ["analyze", "absent.off"],
     "exit3_bad_json": ["simple-mesh", "--input", "bad.json"],
     "exit4_degenerate_fan_step": [

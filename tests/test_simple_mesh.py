@@ -588,6 +588,31 @@ def test_random_mesh_is_deterministic_and_valid():
     iterate_mesh(a, 60)
 
 
+def test_random_mesh_rejects_a_draw_whose_next_step_is_too_thin(monkeypatch):
+    # the first draw of seed 149 clears the angle floor and the constraint
+    # check, but its step 1 does not clear the floor: the look-ahead rejects it
+    expected = random_mesh(200, 149)
+    checked, stepped = [], []
+
+    def check(x, *args, _inner=simple_mesh._checked, **kwargs):
+        checked.append(x[0].copy())
+        return _inner(x, *args, **kwargs)
+
+    def step(x, k, out=None, _inner=simple_mesh.fan_step):
+        out = _inner(x, k, out)
+        stepped.append(out.min())
+        return out
+
+    monkeypatch.setattr(simple_mesh, "_checked", check)
+    monkeypatch.setattr(simple_mesh, "fan_step", step)
+    m = random_mesh(200, 149)
+    assert m == expected and len(checked) == len(stepped) >= 2
+    assert stepped[0] <= simple_mesh.RANDOM_MIN_ANGLE < stepped[-1]
+    assert not np.array_equal(m.angles, checked[0]) and np.array_equal(m.angles, checked[-1])
+    monkeypatch.undo()
+    assert transform_mesh(m).angles.min() > simple_mesh.RANDOM_MIN_ANGLE
+
+
 def test_random_mesh_exhausted_draws_are_degenerate_mesh_error():
     with pytest.raises(DegenerateMeshError, match="no valid random 1000-fan"):
         random_mesh(1000, 1)

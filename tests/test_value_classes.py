@@ -5,6 +5,10 @@ are frozen dataclasses: equality and hashing over their fields, ``repr``,
 pickling and copying, field introspection, and ``dataclasses.replace``,
 which builds a new value through the constructor and so repairs an
 angle sum again.
+
+The values that hold numpy arrays (``MeshModel``, ``QualityReport``,
+``SimpleMeshAngles``, ``SimpleMeshGeometry``, ``MeshQuality``) hold them
+read-only, however they were built, copied or unpickled.
 """
 
 import copy
@@ -13,9 +17,30 @@ import math
 import pickle
 import weakref
 
+import numpy as np
 import pytest
 
-from trismooth import AngleTriple, GrowthFactor, Point2, QualityValue, TrianglePoints
+from trismooth import (
+    AngleTriple,
+    GrowthFactor,
+    MeshModel,
+    MeshQuality,
+    Point2,
+    QualityReport,
+    QualityValue,
+    SimpleMeshAngles,
+    SimpleMeshGeometry,
+    TrianglePoints,
+    analyze,
+    iterate_mesh,
+    load_mesh,
+    mesh_quality,
+    optimal_mesh,
+    random_mesh,
+    reconstruct_geometry,
+    transform_mesh,
+)
+from trismooth.simple_mesh import mesh_steps
 
 PI = math.pi
 
@@ -188,3 +213,74 @@ def test_dict_state_restores_the_value(value):
     restored.__setstate__({name: getattr(value, name) for name in reversed(names)})
     assert restored == value and hash(restored) == hash(value)
     assert all(getattr(restored, name) is getattr(value, name) for name in names)
+
+
+
+#: The numpy arrays each value holds.
+ARRAYS = {
+    MeshModel: {"xy", "faces", "angles"},
+    QualityReport: {"raw", "angles", "q", "predicted"},
+    SimpleMeshAngles: {"angles", "_residuals"},
+    SimpleMeshGeometry: {"xy", "_areas"},
+    MeshQuality: {"ratios"},
+}
+
+
+def array_values(tmp_path):
+    """Each value that holds arrays, built the way a caller gets it."""
+    path = tmp_path / "m.off"
+    path.write_text("OFF\n5 3 0\n0 0\n1 0\n0 1\n1 1\n2 2\n3 0 1 2\n3 1 3 2\n3 0 3 4\n")
+    mesh = load_mesh(path)  # its last face is collinear and dropped
+    fan = random_mesh(7, 3)
+    ring = [Point2(1, 0), Point2(0, 1), Point2(-1, -1)]
+    return {
+        "load_mesh": mesh,
+        "MeshModel": MeshModel([Point2(0, 0), Point2(1, 0), Point2(0, 1)], [(0, 1, 2)]),
+        "reconstruct_geometry": reconstruct_geometry(fan, 1.0)[0],
+        "SimpleMeshGeometry": SimpleMeshGeometry(Point2(0, 0), ring),
+        "SimpleMeshAngles": SimpleMeshAngles(*optimal_mesh(5).angles.tolist()),
+        "optimal_mesh": optimal_mesh(6),
+        "random_mesh": fan,
+        "transform_mesh": transform_mesh(fan),
+        "iterate_mesh": iterate_mesh(fan, 3),
+        "mesh_steps": mesh_steps(fan, 5)[1],
+        "mesh_steps_past_repeat": mesh_steps(random_mesh(5, 3), 70)[1],
+        "analyze": analyze(mesh, (1, 0)),
+        "mesh_quality": mesh_quality(fan),
+    }
+
+
+def assert_arrays_read_only(value, how):
+    arrays = {name: v for name, v in vars(value).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == ARRAYS[type(value)], how
+    for name, array in arrays.items():
+        assert not array.flags.writeable, (how, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 5.0
+
+
+def test_every_array_a_value_holds_is_read_only(tmp_path):
+    values = array_values(tmp_path)
+    assert len(values["load_mesh"].dropped) == 1
+    for how, value in values.items():
+        assert_arrays_read_only(value, how)
+        repr(value)  # builds the lazy views of MeshModel and SimpleMeshGeometry
+        assert_arrays_read_only(value, how)
+    report = values["analyze"]
+    with pytest.raises(ValueError, match="read-only"):
+        report.q[0] = 5.0
+    assert report.q.max() == report.summary.q_max < 5.0
+
+
+def test_copies_and_unpickled_values_hold_read_only_arrays(tmp_path):
+    for how, value in array_values(tmp_path).items():
+        for twin in (
+            pickle.loads(pickle.dumps(value)),
+            pickle.loads(pickle.dumps(value, protocol=0)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ):
+            assert type(twin) is type(value), how
+            assert_arrays_read_only(twin, how)
+            for name in ARRAYS[type(value)]:
+                assert np.array_equal(getattr(twin, name), getattr(value, name)), (how, name)
