@@ -114,10 +114,9 @@ def _store(value, **named):
 
 
 class _ArrayValue:
-    """Base of the frozen dataclasses that hold numpy arrays.  They set their
-    fields through ``_store``, and unpickle through it, so every array they
-    hold is read-only.  ``_views`` maps a name to the builder of an object
-    view of the arrays, such as ``Point2``s, which is built on first read."""
+    """Base of the frozen dataclasses that hold numpy arrays: their fields are
+    set and unpickled through ``_store``, so every array is read-only, and
+    ``_views`` maps names to builders of object views, built on first read."""
 
     _views: dict = {}
     __setstate__ = _setstate

@@ -84,7 +84,8 @@ class MeshModel(_ArrayValue):
         xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
         faces = _index_array(triangles).reshape(len(triangles), 3)
         self._check(xy, faces, tuple(dropped))
-        _store(self, vertices=vertices, triangles=triangles)  # the views are the objects given
+        # the views are the objects given
+        _store(self, vertices=vertices, triangles=triangles)
 
     def _check(self, xy, faces, dropped) -> "MeshModel":
         """Check every face's indices and flatness, then keep it and its angles."""

@@ -94,8 +94,7 @@ class SimpleMeshAngles(_ArrayValue):
         self._hold(x, _checked(x[None])[0])
 
     def _hold(self, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
-        """Keep (3, N) ``x`` and the residuals ``_checked`` gave it.  Fans it
-        has passed already skip ``__post_init__``: ``__new__``, then ``_hold``."""
+        """Keep (3, N) ``x`` and its ``_checked`` residuals; checked fans skip __post_init__."""
         alpha, beta, gamma = map(tuple, x.tolist())
         return _store(self, alpha=alpha, beta=beta, gamma=gamma, angles=x, _residuals=residuals)
 
@@ -212,7 +211,8 @@ class SimpleMeshGeometry(_ArrayValue):
     def __init__(self, inner_vertex: Point2, boundary) -> None:
         boundary = tuple(boundary)
         self._keep(np.array([(p.x, p.y) for p in (inner_vertex, *boundary)], dtype=float))
-        _store(self, inner_vertex=inner_vertex, boundary=boundary)  # views: the objects given
+        # the views are the objects given
+        _store(self, inner_vertex=inner_vertex, boundary=boundary)
 
     def _keep(self, xy: np.ndarray) -> SimpleMeshGeometry:
         """Check and keep (N + 1, 2) ``xy``.  Each area is ``doubled_signed_area``'s

@@ -8,7 +8,7 @@ angle sum again.
 
 The values that hold numpy arrays (``MeshModel``, ``QualityReport``,
 ``SimpleMeshAngles``, ``SimpleMeshGeometry``, ``MeshQuality``) hold them
-read-only, however they were built, copied or unpickled.
+read-only as the library builds them, and after a copy or unpickling.
 """
 
 import copy
