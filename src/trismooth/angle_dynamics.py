@@ -115,11 +115,15 @@ def _store(value, **named):
 
 class _ArrayValue:
     """Base of the frozen dataclasses that hold numpy arrays: their fields are
-    set and unpickled through ``_store``, so every array is read-only, and
-    ``_views`` maps names to builders of object views, built on first read."""
+    set, by a generated ``__init__`` too, and unpickled through ``_store``, so
+    every array is read-only, a caller's own included, and ``_views`` maps
+    names to builders of object views, built on first read."""
 
     _views: dict = {}
     __setstate__ = _setstate
+
+    def __post_init__(self) -> None:
+        _store(self, **{f.name: getattr(self, f.name) for f in fields(self)})
 
     def __getattr__(self, name: str):
         # called only for what the instance lacks: build a view once and keep it

@@ -185,7 +185,7 @@ def _table(entries: list, columns: list[tuple[str, object, str]]) -> list[str]:
 
 def _write_svg(args: argparse.Namespace, path: str, mesh: MeshModel) -> str:
     """Render ``mesh`` with ``--colormap`` to ``path``; return the report line."""
-    render_svg(mesh, path, ColorMap.parse(args.colormap) if args.colormap else None)
+    render_svg(mesh, path, None if args.colormap is None else ColorMap.parse(args.colormap))
     return f"wrote {path}"
 
 
@@ -260,7 +260,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
             }
         )
     written = []
-    if args.svg:
+    if args.svg is not None:
         vertices = [Point2(*xy) for e in entries for xy in e["vertices"]]
         triangles = [(3 * n, 3 * n + 1, 3 * n + 2) for n in range(len(entries))]
         written.append(_write_svg(args, args.svg, MeshModel(vertices, triangles)))
@@ -321,7 +321,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
     written = []
-    if args.svg:
+    if args.svg is not None:
         # draw the final fan with the starting fan's area
         start_geom, _ = reconstruct_geometry(mesh, 1.0)
         try:
@@ -339,7 +339,7 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
             raise ArithmeticError(f"cannot draw the fan: {exc}") from None
         written.append(_write_svg(args, args.svg, model))
     fan = mesh_json_chunks(final)
-    if args.output:
+    if args.output is not None:
         fan = list(fan)  # each angle's text, made once for the file and stdout
         _write_fan(fan, args.output)
         written.insert(0, f"wrote {args.output}")
@@ -383,8 +383,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     steps = _parse_values(args.steps, "--steps") if args.steps is not None else ()
     report = analyze(mesh, steps, bins=args.bins)
     # reports first, so their peak memory and the lines' never add up
-    report.write(args.report or None, args.csv or None)
-    written = [f"wrote {path}" for path in (args.report, args.csv) if path]
+    report.write(args.report, args.csv)
+    written = [f"wrote {path}" for path in (args.report, args.csv) if path is not None]
 
     def text() -> list[str]:
         s = report.summary
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.config:
+        if args.config is not None:
             parser = build_parser()
             _apply_config(parser.parse_args(argv))
             args = parser.parse_args(argv)

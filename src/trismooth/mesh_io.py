@@ -379,7 +379,7 @@ class QualityReport(_ArrayValue):
     ``raw`` is each face's angles as measured (F, 3), ``angles`` the same
     after AngleTriple's sum repair, ``q`` their min/max-angle quality (F,)
     and ``predicted`` the closed-form quality after each of
-    ``predict_steps`` (F, S), all read-only from ``analyze``.  Face t's
+    ``predict_steps`` (F, S), all read-only.  Face t's
     TriangleRecord is built from them when ``triangles[t]`` is indexed.
     The JSON and CSV writers share one block loop: it ``repr``s the
     angles, ``q`` and predictions of ``FACE_BLOCK`` faces at a time, each
@@ -520,8 +520,7 @@ def analyze(
         bin_edges=tuple(edges.tolist()),
         bin_counts=tuple(counts.tolist()),
     )
-    report = QualityReport(steps, mesh.angles, angles, q, predicted, summary, mesh.dropped)
-    return _store(report, angles=angles, q=q, predicted=predicted)  # its arrays read-only
+    return QualityReport(steps, mesh.angles, angles, q, predicted, summary, mesh.dropped)
 
 
 def _parse_hex_color(text: str) -> tuple[int, int, int]:

@@ -262,9 +262,10 @@ def construct_transformed(tri: TrianglePoints) -> TrianglePoints:
             (wa * A.y + wb * B.y + wc * C.y) / w,
         )
 
-    return TrianglePoints(
-        weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c)
-    )
+    try:
+        return TrianglePoints(weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c))
+    except ValueError:  # Point2 rejects a weighted sum past the float range
+        raise OverflowError(f"transformed coordinates overflow for vertices {(A, B, C)}") from None
 
 
 def _bisector_perpendicular(

@@ -356,7 +356,7 @@ def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
 def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
     """Per-triangle min/max angle ratios and their min/max ratio in turn."""
     r = angle_ratio(*m.angles)
-    return _store(MeshQuality(r, (r.min() / r.max()).item()), ratios=r)  # read-only ratios
+    return MeshQuality(r, (r.min() / r.max()).item())
 
 
 def optimal_quality(n: int) -> float:

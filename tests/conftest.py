@@ -282,7 +282,10 @@ def reference_construct_transformed(tri):
             (wa * A.y + wb * B.y + wc * C.y) / w,
         )
 
-    return (weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c))
+    built = (weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c))
+    if not all(math.isfinite(v) for vertex in built for v in vertex):
+        raise OverflowError(f"transformed coordinates overflow for vertices {(A, B, C)}")
+    return built
 
 
 def outcome(fn, *args):

@@ -269,6 +269,14 @@ def test_construct_overflow_is_numeric_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_construct_excenter_overflow_is_numeric_error(capsys):
+    # every squared edge is in range, but an excenter's weighted sum is not
+    code, out, err = run(capsys, ["construct", "--points=0,0,0,1.25e154,-1.25e144,1.25e154"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: transformed coordinates overflow for vertices (Point2(x=0.0")
+    assert len(err.splitlines()) == 1
+
+
 # --- simple-mesh ----------------------------------------------------------------
 
 def test_simple_mesh_random_reaches_optimal(capsys):
@@ -314,6 +322,22 @@ def test_simple_mesh_input_file_and_output(capsys, tmp_path):
     assert code == 0
     saved = json.loads(dst.read_text())
     assert saved["N"] == 5
+
+
+def test_simple_mesh_output_read_back_starts_where_the_run_ended(capsys, tmp_path):
+    # one fan-file writer and one reader: the --output file is the final fan of
+    # the --json document, and read back with --input it starts at step 5's row
+    fan = str(tmp_path / "f.json")
+    argv = ["simple-mesh", "--n", "7", "--random", "3", "--steps", "5", "--output", fan, "--json"]
+    code, stepped, _ = run(capsys, argv)
+    assert code == 0
+    code, reread, _ = run(capsys, ["simple-mesh", "--input", fan, "--json"])
+    assert code == 0
+    saved, stepped, reread = json.loads(Path(fan).read_text()), json.loads(stepped), json.loads(reread)
+    assert saved == stepped["final"] == reread["final"]
+    first, last = reread["steps"][0], stepped["steps"][5]
+    assert (first.pop("step"), last.pop("step")) == (0, 5)
+    assert first == last
 
 
 def test_simple_mesh_svg(capsys, tmp_path):
@@ -673,6 +697,20 @@ def test_simple_mesh_json_matches_json_dumps_on_drawn_fans(n, seed, steps):
     assert out.getvalue() == expected
 
 
+def test_simple_mesh_json_of_fewer_steps_starts_the_longer_one(capsys):
+    # simple-mesh stops stepping once a fan equals the fan two steps back: the
+    # 200-step document up to its last row is, byte for byte, the start of the
+    # 1100-step one, and every row from the repeat on is the row two steps back
+    argv = ["simple-mesh", "--n", "40", "--random", "7", "--json", "--steps"]
+    short = run(capsys, [*argv, "200"])[1]
+    long = run(capsys, [*argv, "1100"])[1]
+    assert long.startswith(short[: short.index("\n  ]")] + ",")
+    rows = [dict(row, step=0) for row in json.loads(long, parse_float=str)["steps"]]
+    assert len(rows) == 1101
+    last = max(s for s in range(2, len(rows)) if rows[s] != rows[s - 2])
+    assert 2 < last < 200, last
+
+
 # --- step limit of iterate, construct and simple-mesh -------------------------------
 
 STEPPING = {
@@ -832,11 +870,17 @@ def test_analyze_missing_file_is_io_error(capsys, tmp_path):
 
 
 def test_analyze_malformed_mesh_is_io_error(capsys, tmp_path):
-    mesh = tmp_path / "m.off"
-    mesh.write_text("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 9\n")
-    code, _, err = run(capsys, ["analyze", str(mesh)])
-    assert code == 3
-    assert "line 6" in err
+    # a bad index or token names its line: exit 3 and one "error: line N: ..." line
+    for name, text, line in [
+        ("m.off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 9\n", 6),
+        ("m.off", "OFF\n3 1 0\n0 0\n1 x\n0 1\n3 0 1 2\n", 4),
+        ("m.obj", "v 0 0\nv 1 0\nv 0 1\nf 1 2 x\n", 4),
+    ]:
+        mesh = tmp_path / name
+        mesh.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(mesh)])
+        assert (code, out) == (3, ""), text
+        assert err.startswith(f"error: line {line}: ") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("command", ["analyze", "render"])
@@ -1220,6 +1264,45 @@ def test_config_list_holds_numbers(capsys, tmp_path, command, cfg, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+#: Each path or colormap option given as "", with the command's other flags and
+#: the exit code: a given option is used, so "" fails to open or to parse.
+EMPTY_VALUES = [
+    ("analyze", "report", [], 3),
+    ("analyze", "csv", [], 3),
+    ("simple-mesh", "output", ["--n", "5", "--optimal"], 3),
+    ("simple-mesh", "svg", ["--n", "5", "--optimal"], 3),
+    ("construct", "svg", ["--points", "0,0,1,0,0,1"], 3),
+    ("render", "colormap", ["--out", "o.svg"], 2),
+    ("construct", "colormap", ["--points", "0,0,1,0,0,1", "--svg", "o.svg"], 2),
+    ("simple-mesh", "colormap", ["--n", "5", "--optimal", "--svg", "o.svg"], 2),
+]
+EMPTY_VALUE_ERRORS = {3: "[Errno 2] No such file or directory: ''", 2: "colormap stop '' must be q:color"}
+
+
+@pytest.mark.parametrize(
+    "command, key, argv, expected, how",
+    [
+        pytest.param(*case, how, id=f"{case[0]}-{case[1]}-{how}")
+        for case in EMPTY_VALUES
+        for how in ("flag", "config")
+    ]
+    + [pytest.param("predict", "config", PREDICT_90_60_30[1:], 3, "flag", id="config-flag")],
+)
+def test_an_empty_option_value_is_used(capsys, tmp_path, monkeypatch, command, key, argv, expected, how):
+    (tmp_path / "tri.off").write_text(MINIMAL_OFF)
+    monkeypatch.chdir(tmp_path)
+    positional = ["tri.off"] if command in ("analyze", "render") else []
+    if how == "flag":
+        given = [f"--{key}", ""]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: ""}))
+        given = ["--config", "cfg.json"]
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, [command, *positional, *argv, *given])
+    assert (code, out, err) == (expected, "", f"error: {EMPTY_VALUE_ERRORS[expected]}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # nothing written
+
+
 CONFIG_ISOLATION = [
     # (config, argv with --config, argv without it); each config value, leaked
     # into the later call, would change its output or make it fail
@@ -1323,6 +1406,9 @@ CLASSIFIED_ERRORS = {
     "optimal_quality_two": (
         lambda: trismooth.optimal_quality(2), ValueError,
         "fan mesh needs at least 3 triangles, got 2",
+    ),
+    "optimal_mesh_two": (
+        lambda: trismooth.optimal_mesh(2), ValueError, "fan mesh needs at least 3 triangles, got 2"
     ),
     "coefficient_index_negative": (
         lambda: trismooth.coefficients(3).a(-1), IndexError, "coefficient index must be >= 0"

@@ -157,7 +157,13 @@ CASES = {
     # one past sys.maxsize // 16 bins; numpy's own errors named no limit
     "exit2_bins_past_size_limit": ["analyze", "mesh.off", "--bins", "576460752303423488"],
     "exit3_missing_mesh": ["analyze", "absent.off"],
+    # a flag given as "" is used: the empty path fails to open
+    "exit3_empty_report_path": ["analyze", "mesh.off", "--report", ""],
     "exit3_bad_json": ["simple-mesh", "--input", "bad.json"],
+    # every squared edge is in range, but an excenter's weighted sum is not
+    "exit4_construct_excenter_overflow": [
+        "construct", "--points", "0,0,0,1.25e154,-1.25e144,1.25e154",
+    ],
     "exit4_degenerate_fan_step": [
         "simple-mesh", "--input", "adversarial.json", "--steps", "1",
     ],

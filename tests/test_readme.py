@@ -1,9 +1,12 @@
-"""The README's library quick tour runs, and its commented values hold."""
+"""The README's library quick tour runs, and its commented values hold;
+every public name imports from the package."""
 
 import math
 from pathlib import Path
 
 import pytest
+
+import trismooth
 
 PI = math.pi
 
@@ -35,3 +38,11 @@ def test_readme_quick_tour_runs_and_its_values_hold():
         assert expression in commented, f"the tour no longer shows {expression}"
         tolerance = 1e-6 if "mesh_q" in expression else 1e-15
         assert eval(expression, namespace) == pytest.approx(expected, abs=tolerance)
+
+
+def test_every_public_name_imports_and_none_repeats():
+    names = trismooth.__all__
+    assert sorted(set(names)) == sorted(names)
+    namespace: dict = {}
+    exec("from trismooth import *", namespace)  # an AttributeError for a name the package lacks
+    assert set(names) <= namespace.keys()

@@ -8,7 +8,8 @@ angle sum again.
 
 The values that hold numpy arrays (``MeshModel``, ``QualityReport``,
 ``SimpleMeshAngles``, ``SimpleMeshGeometry``, ``MeshQuality``) hold them
-read-only as the library builds them, and after a copy or unpickling.
+read-only as the library builds them or a caller hands them in, and after a
+copy or unpickling.
 """
 
 import copy
@@ -233,6 +234,8 @@ def array_values(tmp_path):
     mesh = load_mesh(path)  # its last face is collinear and dropped
     fan = random_mesh(7, 3)
     ring = [Point2(1, 0), Point2(0, 1), Point2(-1, -1)]
+    report = analyze(mesh, (1, 0))
+    columns = [getattr(report, name).copy() for name in ("raw", "angles", "q", "predicted")]
     return {
         "load_mesh": mesh,
         "MeshModel": MeshModel([Point2(0, 0), Point2(1, 0), Point2(0, 1)], [(0, 1, 2)]),
@@ -245,8 +248,10 @@ def array_values(tmp_path):
         "iterate_mesh": iterate_mesh(fan, 3),
         "mesh_steps": mesh_steps(fan, 5)[1],
         "mesh_steps_past_repeat": mesh_steps(random_mesh(5, 3), 70)[1],
-        "analyze": analyze(mesh, (1, 0)),
+        "analyze": report,
+        "QualityReport": QualityReport(report.predict_steps, *columns, report.summary),
         "mesh_quality": mesh_quality(fan),
+        "MeshQuality": MeshQuality(np.ones(3), 1.0),
     }
 
 
@@ -270,6 +275,9 @@ def test_every_array_a_value_holds_is_read_only(tmp_path):
     with pytest.raises(ValueError, match="read-only"):
         report.q[0] = 5.0
     assert report.q.max() == report.summary.q_max < 5.0
+    ratios = np.ones(3)
+    assert MeshQuality(ratios, 1.0).ratios is ratios  # the caller's array, made read-only
+    assert not ratios.flags.writeable
 
 
 def test_copies_and_unpickled_values_hold_read_only_arrays(tmp_path):
