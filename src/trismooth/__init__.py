@@ -1,119 +1,15 @@
 """Triangle-transformation toolkit built on pairwise angle averaging."""
 
-from .angle_dynamics import (
-    DEGENERACY_EPS,
-    EQUILATERAL,
-    AngleTriple,
-    CoefficientSequence,
-    DegenerateTriangleError,
-    EquilateralTriangleError,
-    QualityValue,
-    coefficients,
-    convergence_rate_check,
-    deviations_after,
-    iterate,
-    iterate_closed_form,
-    predict_quality,
-    quality,
-    transform,
-)
-from .mesh_io import (
-    ColorMap,
-    DegenerateFace,
-    MeshFormatError,
-    MeshModel,
-    QualityReport,
-    analyze,
-    load_mesh,
-    render_svg,
-    save_off,
-)
-from .plane_geometry import (
-    CollinearTriangleError,
-    GrowthFactor,
-    GrowthReport,
-    Point2,
-    TrianglePoints,
-    angles_of,
-    construct_transformed,
-    construct_transformed_intersection,
-    edge_product_growth_check,
-    growth_factor,
-    rescale_to_area,
-)
-from .simple_mesh import (
-    ClosureResidual,
-    CorrectionTerms,
-    DegenerateMeshError,
-    MeshConstraintError,
-    MeshQuality,
-    SimpleMeshAngles,
-    SimpleMeshGeometry,
-    correction_terms,
-    iterate_mesh,
-    load_mesh_angles,
-    mesh_quality,
-    optimal_mesh,
-    optimal_quality,
-    random_mesh,
-    reconstruct_geometry,
-    save_mesh_angles,
-    transform_mesh,
-)
+from . import angle_dynamics, mesh_io, plane_geometry, simple_mesh
+from .angle_dynamics import *
+from .mesh_io import *
+from .plane_geometry import *
+from .simple_mesh import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleTriple",
-    "CoefficientSequence",
-    "QualityValue",
-    "DegenerateTriangleError",
-    "EquilateralTriangleError",
-    "DEGENERACY_EPS",
-    "EQUILATERAL",
-    "transform",
-    "iterate",
-    "iterate_closed_form",
-    "deviations_after",
-    "coefficients",
-    "quality",
-    "predict_quality",
-    "convergence_rate_check",
-    "Point2",
-    "TrianglePoints",
-    "GrowthFactor",
-    "GrowthReport",
-    "CollinearTriangleError",
-    "angles_of",
-    "construct_transformed",
-    "construct_transformed_intersection",
-    "growth_factor",
-    "edge_product_growth_check",
-    "rescale_to_area",
-    "SimpleMeshAngles",
-    "SimpleMeshGeometry",
-    "CorrectionTerms",
-    "ClosureResidual",
-    "MeshQuality",
-    "MeshConstraintError",
-    "DegenerateMeshError",
-    "correction_terms",
-    "transform_mesh",
-    "iterate_mesh",
-    "mesh_quality",
-    "optimal_mesh",
-    "optimal_quality",
-    "random_mesh",
-    "reconstruct_geometry",
-    "load_mesh_angles",
-    "save_mesh_angles",
-    "MeshModel",
-    "MeshFormatError",
-    "DegenerateFace",
-    "QualityReport",
-    "ColorMap",
-    "load_mesh",
-    "save_off",
-    "analyze",
-    "render_svg",
-]
+__all__ = []
+__all__ += angle_dynamics.__all__
+__all__ += plane_geometry.__all__
+__all__ += simple_mesh.__all__
+__all__ += mesh_io.__all__

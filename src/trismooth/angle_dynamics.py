@@ -13,11 +13,19 @@ per double step.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+
+__all__ = [
+    "AngleTriple", "CoefficientSequence", "QualityValue", "DegenerateTriangleError",
+    "EquilateralTriangleError", "DEGENERACY_EPS", "EQUILATERAL", "transform", "iterate",
+    "iterate_closed_form", "deviations_after", "coefficients", "quality",
+    "predict_quality", "convergence_rate_check",
+]
 
 PI = math.pi
 THIRD_PI = math.pi / 3.0
@@ -180,6 +188,7 @@ class CoefficientSequence:
     values: tuple[int, ...]
 
     def a(self, k: int) -> int:
+        k = operator.index(k)
         if k < 0:
             raise IndexError("coefficient index must be >= 0")
         if k == 0:
@@ -235,6 +244,7 @@ def iterate(t: AngleTriple, n: int) -> AngleTriple:
     Evaluated in closed deviation form.  One degeneracy check suffices, as
     a step maps angles in (eps, pi - eps) into (eps, pi / 2).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     if n == 0:
@@ -242,9 +252,10 @@ def iterate(t: AngleTriple, n: int) -> AngleTriple:
     return AngleTriple(*after_steps(_nondegenerate(t), THIRD_PI, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's entry
 def coefficients(n: int) -> CoefficientSequence:
     """Coefficients a_1..a_n of the closed-form power, by exact recurrence."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("coefficient count must be >= 1")
     vals = [1, 1]
@@ -261,6 +272,7 @@ def deviations_after(t: AngleTriple, n: int) -> tuple[float, float, float]:
     no rounding error beyond the initial subtraction.  It is the stable
     way to measure contraction rates once the angles are close to pi/3.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     return tuple(after_steps(x - THIRD_PI, 0.0, n) for x in t.as_tuple())
@@ -274,6 +286,7 @@ def iterate_closed_form(t: AngleTriple, n: int) -> AngleTriple:
     growing quantities, so evaluation switches to deviation form around
     pi/3.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("closed-form power requires n >= 1")
     if n > CLOSED_FORM_CAP:
@@ -326,6 +339,7 @@ def predict_quality(
     alt_even : bool
         Use the alternative even-step expression (see above).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("step count must be >= 0")
     if n == 0:
@@ -354,6 +368,7 @@ def convergence_rate_check(t: AngleTriple, k: int) -> float:
     float halving), so the result is 1/4 for every non-equilateral
     input until the deviation underflows.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("rate check requires k >= 1")
     dev = max(t.as_tuple()) - THIRD_PI

@@ -11,6 +11,7 @@ per triangle.
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from collections.abc import Iterator, Sequence
@@ -23,6 +24,11 @@ import numpy as np
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
 from .plane_geometry import _json_rows
+
+__all__ = [
+    "MeshModel", "MeshFormatError", "DegenerateFace", "QualityReport", "ColorMap",
+    "load_mesh", "save_off", "analyze", "render_svg",
+]
 
 #: 3D meshes flatten only when the z span is below this (scaled) tolerance.
 FLATTEN_Z_TOL = 1e-9
@@ -68,7 +74,9 @@ class MeshModel(_ArrayValue):
     before AngleTriple's sum repair) that ``analyze`` and ``render_svg``
     read.  ``vertices`` (Point2s) and ``triangles`` (index tuples) are
     read-only views of ``xy`` and ``faces``, built when first read; the
-    dataclass's equality, hashing and ``repr`` go through them.
+    dataclass's equality, hashing and ``repr`` go through them.  Each
+    triangle given must be three integers (``operator.index`` reads them):
+    anything else is a ValueError that names the triangle.
     """
 
     vertices: tuple[Point2, ...]
@@ -80,11 +88,18 @@ class MeshModel(_ArrayValue):
 
     def __init__(self, vertices, triangles, dropped: tuple[DegenerateFace, ...] = ()):
         vertices = tuple(vertices)
-        triangles = tuple(tuple(t) for t in triangles)
+        faces = []
+        for t, face in enumerate(triangles):
+            try:  # the unpacking counts the indices, operator.index reads each
+                i, j, k = map(operator.index, face)
+            except (TypeError, ValueError):
+                message = f"triangle {t}: needs 3 integer vertex indices, got {face!r}"
+                raise ValueError(message) from None
+            faces.append((i, j, k))
+        triangles = tuple(faces)
         xy = np.array([(p.x, p.y) for p in vertices], dtype=float).reshape(-1, 2)
-        faces = _index_array(triangles).reshape(len(triangles), 3)
-        self._check(xy, faces, tuple(dropped))
-        # the views are the objects given
+        self._check(xy, _index_array(triangles), tuple(dropped))
+        # the views are the points given and the indices as read
         _store(self, vertices=vertices, triangles=triangles)
 
     def _check(self, xy, faces, dropped) -> "MeshModel":
@@ -498,9 +513,10 @@ def analyze(
     transformation steps, per triangle.  The histogram covers (0, 1]
     with ``bins`` equal bins; counts always sum to the triangle count.
     """
-    steps = tuple(int(s) for s in predict_steps)
+    steps = tuple(map(operator.index, predict_steps))
     if any(s < 0 for s in steps):
         raise ValueError("prediction steps must be >= 0")
+    bins = operator.index(bins)
     if bins < 1:
         raise ValueError("histogram needs at least one bin")
     if bins > sys.maxsize // 16:  # 8-byte edges, with room to spare in numpy's size limit

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
@@ -23,6 +24,13 @@ import numpy as np
 
 from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
 from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, block_rows
+
+__all__ = [
+    "SimpleMeshAngles", "SimpleMeshGeometry", "CorrectionTerms", "ClosureResidual",
+    "MeshQuality", "MeshConstraintError", "DegenerateMeshError", "correction_terms",
+    "transform_mesh", "iterate_mesh", "mesh_quality", "optimal_mesh", "optimal_quality",
+    "random_mesh", "reconstruct_geometry", "load_mesh_angles", "save_mesh_angles",
+]
 
 #: Constraint families must hold within this absolute tolerance.
 CONSTRAINT_TOL = 1e-10
@@ -52,10 +60,18 @@ class CorrectionTerms:
     k_gamma: float
 
 
-def correction_terms(n: int) -> CorrectionTerms:
-    """Correction terms for an N-triangle fan; identically zero at N = 6."""
+def _fan_size(n) -> int:
+    """``n`` read as a fan's triangle count, through ``operator.index``: an
+    int, at least 3."""
+    n = operator.index(n)
     if n < 3:
         raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
+    return n
+
+
+def correction_terms(n: int) -> CorrectionTerms:
+    """Correction terms for an N-triangle fan; identically zero at N = 6."""
+    n = _fan_size(n)
     k_alpha = PI * (6 - n) / (2 * n)
     k_beta = PI * (n - 6) / (4 * n)
     return CorrectionTerms(k_alpha, k_beta, k_beta)
@@ -344,6 +360,7 @@ def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
     per step, so every later angle lies between the positive fixed point
     and x_0 or x_1: checking step 1 for positivity covers the whole run.
     """
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError("step count must be >= 0")
     if steps == 0:
@@ -361,8 +378,7 @@ def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
 
 def optimal_quality(n: int) -> float:
     """Per-triangle quality of the optimal N-fan: (N-2)/4 below 6, else 4/(N-2)."""
-    if n < 3:
-        raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
+    n = _fan_size(n)
     if n < 6:
         return (n - 2) / 4.0
     return 4.0 / (n - 2)
@@ -370,8 +386,7 @@ def optimal_quality(n: int) -> float:
 
 def optimal_mesh(n: int) -> SimpleMeshAngles:
     """The fixed point: apex angles 2 pi / N, base angles (N-2) pi / (2N)."""
-    if n < 3:
-        raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
+    n = _fan_size(n)
     apex = 2.0 * PI / n
     base = (n - 2) * PI / (2 * n)
     return SimpleMeshAngles((apex,) * n, (base,) * n, (base,) * n)
@@ -390,7 +405,7 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    k = _k_rows(n)  # raises ValueError below 3 triangles
+    k = _k_rows(n)  # raises below 3 triangles or for a non-integer n
     conc = np.full(n, RANDOM_CONCENTRATION)
     for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)

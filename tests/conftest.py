@@ -140,6 +140,7 @@ THIRD_PI = PI / 3.0
 CLOSED_FORM_CAP = 500
 STEP_CLAMP = 1100
 COLLINEAR_REL_EPS = 1e-12
+EXCENTER_WEIGHT_REL = 1e-11
 
 
 def reference_repair(alpha, beta, gamma):
@@ -269,8 +270,38 @@ def reference_angles_of(tri):
     )
 
 
+def _reference_bisector_line(at, toward1, toward2):
+    """The perpendicular to the interior bisector at ``at``, as (point,
+    direction): the difference of the unit edge vectors at an obtuse corner,
+    else their sum turned a quarter."""
+    d1x, d1y = toward1.x - at.x, toward1.y - at.y
+    d2x, d2y = toward2.x - at.x, toward2.y - at.y
+    n1, n2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
+    u1x, u1y, u2x, u2y = d1x / n1, d1y / n1, d2x / n2, d2y / n2
+    if u1x * u2x + u1y * u2y < 0.0:
+        return at, (u1x - u2x, u1y - u2y)
+    return at, (-(u1y + u2y), u1x + u2x)
+
+
+def _reference_meet(line1, line2):
+    """The two lines' intersection as (x, y); a ValueError past the float range."""
+    from trismooth.plane_geometry import DegenerateIntersectionError
+
+    (p, (dx, dy)), (q, (ex, ey)) = line1, line2
+    denom = dx * ey - dy * ex
+    if abs(denom) <= COLLINEAR_REL_EPS * (math.hypot(dx, dy) * math.hypot(ex, ey)):
+        raise DegenerateIntersectionError("construction lines are parallel within tolerance")
+    t = ((q.x - p.x) * ey - (q.y - p.y) * ex) / denom
+    point = (p.x + t * dx, p.y + t * dy)
+    if not all(math.isfinite(v) for v in point):
+        raise ValueError("intersection past the float range")
+    return point
+
+
 def reference_construct_transformed(tri):
-    """construct_transformed's vertices as ((x, y), (x, y), (x, y))."""
+    """construct_transformed's vertices as ((x, y), (x, y), (x, y)): the
+    excenter closed form, or the bisector perpendiculars' intersections where
+    an excenter weight is below EXCENTER_WEIGHT_REL times the perimeter."""
     _reference_collinear_check(tri)
     a, b, c = _reference_edges(tri)
     A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
@@ -282,9 +313,22 @@ def reference_construct_transformed(tri):
             (wa * A.y + wb * B.y + wc * C.y) / w,
         )
 
+    overflow = OverflowError(f"transformed coordinates overflow for vertices {(A, B, C)}")
+    if min(-a + b + c, a - b + c, a + b - c) < EXCENTER_WEIGHT_REL * (a + b + c):
+        at_a = _reference_bisector_line(A, B, C)
+        at_b = _reference_bisector_line(B, C, A)
+        at_c = _reference_bisector_line(C, A, B)
+        try:
+            return (
+                _reference_meet(at_b, at_c),
+                _reference_meet(at_a, at_c),
+                _reference_meet(at_a, at_b),
+            )
+        except ValueError:
+            raise overflow from None
     built = (weighted(-a, b, c), weighted(a, -b, c), weighted(a, b, -c))
     if not all(math.isfinite(v) for vertex in built for v in vertex):
-        raise OverflowError(f"transformed coordinates overflow for vertices {(A, B, C)}")
+        raise overflow
     return built
 
 

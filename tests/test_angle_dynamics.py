@@ -105,6 +105,7 @@ def test_iterate_identity_and_two_steps():
     assert iterate(t, 2).as_tuple() == pytest.approx(
         (3 * PI / 8, PI / 3, 7 * PI / 24), abs=1e-14
     )
+    assert iterate(t, np.int64(2)) == iterate(t, 2)  # numpy integers are counts
     with pytest.raises(ValueError):
         iterate(t, -1)
 
@@ -282,6 +283,7 @@ def test_predict_quality_frozen_values():
     assert predict_quality(t, 2).q == pytest.approx(7 / 9, abs=1e-12)
     assert predict_quality(EQUILATERAL, 17).q == pytest.approx(1.0, abs=1e-15)
     assert predict_quality(t, 0).q == quality(t).q
+    assert predict_quality(t, np.int32(2)) == predict_quality(t, 2)
     with pytest.raises(ValueError):
         predict_quality(t, -1)
 

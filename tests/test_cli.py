@@ -277,6 +277,19 @@ def test_construct_excenter_overflow_is_numeric_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_construct_parallel_construction_lines_are_numeric_error(capsys, monkeypatch):
+    # the apex angle is pi less 1e-8: the excenter weight rounds to 0, and the
+    # triangle is built through the line intersections
+    assert run(capsys, ["construct", "--points=0,0,2,0,1,1e-8"])[0] == 0
+
+    def parallel(*lines):
+        raise trismooth.plane_geometry.DegenerateIntersectionError("construction lines are parallel")
+
+    monkeypatch.setattr(trismooth.plane_geometry, "_intersect_lines", parallel)
+    code, out, err = run(capsys, ["construct", "--points=0,0,2,0,1,1e-8"])
+    assert (code, out, err) == (4, "", "error: construction lines are parallel\n")
+
+
 # --- simple-mesh ----------------------------------------------------------------
 
 def test_simple_mesh_random_reaches_optimal(capsys):
@@ -1355,6 +1368,8 @@ def test_help_exits_zero(capsys):
 
 
 _RATE_TRIPLE = trismooth.AngleTriple(PI / 2, PI / 3, PI / 6)
+_TRIANGLE = (trismooth.Point2(0, 0), trismooth.Point2(1, 0), trismooth.Point2(0, 1))
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 
 #: Classified errors no other test reaches: a CLI call with its exit code, or a
 #: library call with its exception type, and the message either gives.
@@ -1416,6 +1431,71 @@ CLASSIFIED_ERRORS = {
     "deviations_after_negative": (
         lambda: trismooth.deviations_after(_RATE_TRIPLE, -1), ValueError,
         "iteration count must be >= 0",
+    ),
+    # a count is read through operator.index: a fraction is a TypeError, not
+    # a complex angle, a rounded step or an answer for a 4.5-triangle fan
+    "predict_quality_fractional_steps": (
+        lambda: trismooth.predict_quality(_RATE_TRIPLE, 1.5), TypeError, _NOT_AN_INT
+    ),
+    "iterate_fractional_steps": (
+        lambda: trismooth.iterate(_RATE_TRIPLE, 2.5), TypeError, _NOT_AN_INT
+    ),
+    "deviations_after_fractional_steps": (
+        lambda: trismooth.deviations_after(_RATE_TRIPLE, 2.5), TypeError, _NOT_AN_INT
+    ),
+    "rate_check_fractional_k": (
+        lambda: trismooth.convergence_rate_check(_RATE_TRIPLE, 1.5), TypeError, _NOT_AN_INT
+    ),
+    "closed_form_whole_float_steps": (
+        lambda: trismooth.iterate_closed_form(_RATE_TRIPLE, 2.0), TypeError, _NOT_AN_INT
+    ),
+    # 4 is cached first: 4.0 must not find its entry
+    "coefficients_whole_float_count": (
+        lambda: [trismooth.coefficients(n) for n in (4, 4.0)], TypeError, _NOT_AN_INT
+    ),
+    "coefficient_whole_float_index": (
+        lambda: trismooth.coefficients(3).a(0.0), TypeError, _NOT_AN_INT
+    ),
+    "correction_terms_fractional_fan": (
+        lambda: trismooth.correction_terms(4.5), TypeError, _NOT_AN_INT
+    ),
+    "optimal_quality_fractional_fan": (
+        lambda: trismooth.optimal_quality(4.5), TypeError, _NOT_AN_INT
+    ),
+    "random_mesh_whole_float_fan": (
+        lambda: trismooth.random_mesh(5.0, 0), TypeError, _NOT_AN_INT
+    ),
+    "iterate_mesh_fractional_steps": (
+        lambda: trismooth.iterate_mesh(trismooth.optimal_mesh(5), 2.5), TypeError, _NOT_AN_INT
+    ),
+    "growth_check_fractional_steps": (
+        lambda: trismooth.edge_product_growth_check(trismooth.TrianglePoints(*_TRIANGLE), 0.5),
+        TypeError, _NOT_AN_INT,
+    ),
+    "analyze_fractional_step": (
+        lambda: trismooth.analyze(trismooth.MeshModel(_TRIANGLE, [(0, 1, 2)]), (1.5,)),
+        TypeError, _NOT_AN_INT,
+    ),
+    "analyze_text_step": (
+        lambda: trismooth.analyze(trismooth.MeshModel(_TRIANGLE, [(0, 1, 2)]), ("2",)),
+        TypeError, "'str' object cannot be interpreted as an integer",
+    ),
+    "analyze_fractional_bins": (
+        lambda: trismooth.analyze(trismooth.MeshModel(_TRIANGLE, [(0, 1, 2)]), bins=2.5),
+        TypeError, _NOT_AN_INT,
+    ),
+    # MeshModel reads each vertex index the same way, and names the triangle
+    "mesh_model_fractional_index": (
+        lambda: trismooth.MeshModel(_TRIANGLE, [(0, 1, 2), (0.5, 1, 2)]), ValueError,
+        "triangle 1: needs 3 integer vertex indices, got (0.5, 1, 2)",
+    ),
+    "mesh_model_text_indices": (
+        lambda: trismooth.MeshModel(_TRIANGLE, [("0", "1", "2")]), ValueError,
+        "triangle 0: needs 3 integer vertex indices, got ('0', '1', '2')",
+    ),
+    "mesh_model_four_indices": (
+        lambda: trismooth.MeshModel(_TRIANGLE, [[0, 1, 2, 0]]), ValueError,
+        "triangle 0: needs 3 integer vertex indices, got [0, 1, 2, 0]",
     ),
     # k = 500 still gives 0.25
     "rate_check_underflow": (

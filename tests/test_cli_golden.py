@@ -101,6 +101,10 @@ CASES = {
         "construct", "--points", "0,0,1,0,0.2,0.7", "--steps", "3", "--degrees",
         "--rescale", "--json",
     ],
+    # the apex angle is pi less 1e-8: built through the line intersections
+    "construct_thin_obtuse": [
+        "construct", "--points", "0,0,2,0,1,1e-8", "--steps", "1", "--json",
+    ],
     "construct_svg": [
         "construct", "--points", "0,0,1,0,0,1", "--steps", "2", "--svg", "traj.svg",
         "--colormap", "0:000000,1:ffffff",

@@ -256,11 +256,13 @@ def test_mesh_model_is_arrays_with_views_built_when_read(tmp_path):
     assert mesh.triangles == ((0, 1, 3), (1, 4, 3))
     assert mesh.vertices == tuple(Point2(x, y) for x, y in mesh.xy.tolist())
     assert mesh.triangle_points(1) == TrianglePoints(Point2(1, 0), Point2(1, 1), Point2(0, 1))
-    # the constructor's model is equal, and its views are what it was given
+    # the constructor's model is equal; its points are the ones given, its
+    # indices (numpy integers too) read as ints
     pts = (Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(0, 1), Point2(1, 1))
-    built = MeshModel(pts, [[0, 1, 3], (1, 4, 3)], mesh.dropped)
+    built = MeshModel(pts, [[0, 1, 3], np.array((1, 4, 3))], mesh.dropped)
     assert built == mesh and hash(built) == hash(mesh)
     assert built.vertices is pts and built.triangles == ((0, 1, 3), (1, 4, 3))
+    assert {type(i) for t in built.triangles for i in t} == {int}
     assert repr(mesh) == (
         "MeshModel(vertices=(Point2(x=0.0, y=0.0), Point2(x=1.0, y=0.0), "
         "Point2(x=2.0, y=0.0), Point2(x=0.0, y=1.0), Point2(x=1.0, y=1.0)), "

@@ -187,6 +187,26 @@ def test_intersection_route_matches_excenter_route():
             assert math.hypot(u.x - v.x, u.y - v.y) <= 1e-9 * scale
 
 
+#: Apex heights over a base of 2: the angle at the apex is pi less about y,
+#: and the excenter weight a + b - c cancels (rounds to 0 from y = 1e-8 down).
+THIN_HEIGHTS = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 3e-12]
+
+
+def pairwise_mean_error(tri, build):
+    a, b, g = angles_of(tri).as_tuple()
+    got = angles_of(build(tri)).as_tuple()
+    return max(abs(x - y) for x, y in zip(got, (0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))))
+
+
+@pytest.mark.parametrize("y", THIN_HEIGHTS)
+def test_thin_obtuse_triangles_get_the_pairwise_means(y):
+    assert pairwise_mean_error(tri_of((0, 0), (2, 0), (1, y)), construct_transformed) <= 1e-12
+    # off centre and turned, the bisector sum at the obtuse corner cancels too
+    c, s = math.cos(0.5), math.sin(0.5)
+    turned = tri_of(*((x * c - v * s, x * s + v * c) for x, v in ((0, 0), (2, 0), (0.7, y))))
+    assert pairwise_mean_error(turned, construct_transformed_intersection) <= 1e-12
+
+
 def test_construction_grows_area():
     for tri in random_triangles(100, seed=23):
         assert construct_transformed(tri).area() > tri.area()

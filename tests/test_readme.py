@@ -1,6 +1,10 @@
 """The README's library quick tour runs, and its commented values hold;
-every public name imports from the package."""
+every public name imports from the package, and each is declared by the
+module that defines it."""
 
+import ast
+import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -40,9 +44,58 @@ def test_readme_quick_tour_runs_and_its_values_hold():
         assert eval(expression, namespace) == pytest.approx(expected, abs=tolerance)
 
 
+#: The package's public names, module by module, in the order the package joins them.
+PUBLIC_NAMES = {
+    "angle_dynamics": {
+        "AngleTriple", "CoefficientSequence", "QualityValue", "DegenerateTriangleError",
+        "EquilateralTriangleError", "DEGENERACY_EPS", "EQUILATERAL", "transform", "iterate",
+        "iterate_closed_form", "deviations_after", "coefficients", "quality",
+        "predict_quality", "convergence_rate_check",
+    },
+    "plane_geometry": {
+        "Point2", "TrianglePoints", "GrowthFactor", "GrowthReport", "CollinearTriangleError",
+        "angles_of", "construct_transformed", "construct_transformed_intersection",
+        "growth_factor", "edge_product_growth_check", "rescale_to_area",
+    },
+    "simple_mesh": {
+        "SimpleMeshAngles", "SimpleMeshGeometry", "CorrectionTerms", "ClosureResidual",
+        "MeshQuality", "MeshConstraintError", "DegenerateMeshError", "correction_terms",
+        "transform_mesh", "iterate_mesh", "mesh_quality", "optimal_mesh", "optimal_quality",
+        "random_mesh", "reconstruct_geometry", "load_mesh_angles", "save_mesh_angles",
+    },
+    "mesh_io": {
+        "MeshModel", "MeshFormatError", "DegenerateFace", "QualityReport", "ColorMap",
+        "load_mesh", "save_off", "analyze", "render_svg",
+    },
+}
+
+
+def defined_at_top_level(module) -> set:
+    """Names a module's own statements bind: def, class and assignment."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_every_public_name_imports_and_none_repeats():
-    names = trismooth.__all__
-    assert sorted(set(names)) == sorted(names)
-    namespace: dict = {}
+    """Each module's __all__ is its pinned names, each bound by the module's
+    own statements and by a star import of it; the package's __all__ joins
+    the four without repeats, and a star import of the package binds it."""
+    joined = []
+    for name, expected in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"trismooth.{name}")
+        assert set(module.__all__) == expected and len(module.__all__) == len(expected)
+        assert expected <= defined_at_top_level(module), name
+        namespace: dict = {}
+        exec(f"from trismooth.{name} import *", namespace)
+        assert namespace.keys() - {"__builtins__"} == expected, name
+        joined += module.__all__
+    assert trismooth.__all__ == joined and len(set(joined)) == len(joined) == 52
+    namespace = {}
     exec("from trismooth import *", namespace)  # an AttributeError for a name the package lacks
-    assert set(names) <= namespace.keys()
+    assert namespace.keys() - {"__builtins__"} == set(joined)

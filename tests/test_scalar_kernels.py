@@ -180,6 +180,8 @@ def triangles():
 @example(points=((0.0, 0.0), (1.0, 0.0), (0.5, 1e-13)))
 # in range, but the excenter sums overflow: an OverflowError, not Point2's ValueError
 @example(points=((0.0, 0.0), (0.0, 1.25e154), (-1.25e144, 1.25e154)))
+# a thin obtuse triangle whose excenter weight cancels: the line route
+@example(points=((0.0, 0.0), (2.0, 0.0), (0.7, 1e-8)))
 @settings(deadline=None, max_examples=300)
 def test_triangle_kernels_match_reference(points):
     t = tri(points)
