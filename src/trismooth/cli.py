@@ -39,6 +39,7 @@ from .mesh_io import (
     render_svg,
 )
 from .plane_geometry import (
+    FACE_BLOCK,
     Point2,
     TrianglePoints,
     _distinct_text,
@@ -396,8 +397,11 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
             lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
         template = "  triangle %d: q=%.6f"
         template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
-        table = np.column_stack((np.arange(len(report.q)), report.q, report.predicted))
-        lines.append("".join(block_rows(template, "\n", table)))
+        for start in range(0, len(report.q), FACE_BLOCK):  # one printed string per block
+            rows = slice(start, start + FACE_BLOCK)
+            index = np.arange(start, start + len(report.q[rows]))
+            table = np.column_stack((index, report.q[rows], report.predicted[rows]))
+            lines += block_rows(template, "\n", table)
         return lines + written
 
     return report.json_chunks(), text

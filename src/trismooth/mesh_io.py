@@ -38,9 +38,10 @@ class MeshFormatError(ValueError):
     """Mesh file cannot be parsed under the declared format subset."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
+            line = operator.index(line)  # a Python int, also when read from an array
             message = f"line {line}: {message}"
+        self.line = line
         super().__init__(message)
 
 
@@ -132,19 +133,24 @@ class MeshModel(_ArrayValue):
 
 # A reader hands on blocks of lines: the significant lines of a file (its
 # text with # comments cut, holding more than whitespace) and their 1-based
-# line numbers.  A block parser checks its lines' rules in the order a
-# line-by-line reader would and raises MeshFormatError without a line
-# number; ``_first_bad_line`` runs it again to name the line.  So some line
-# of a block fails on its own whenever its parser raises.
-Block = tuple[list[str], list[int]]
+# line numbers: a range, or an int array where lines were dropped between
+# them.  A block parser checks its lines' rules in the order a line-by-line
+# reader would and raises MeshFormatError without a line number;
+# ``_first_bad_line`` runs it again to name the line.  So some line of a
+# block fails on its own whenever its parser raises.
+Block = tuple[list[str], Sequence[int]]
 
 
 def _significant_lines(path) -> Block:
     with open(path, "r", encoding="utf-8-sig") as fh:
         # text mode reads CR and CRLF as "\n": these are enumerate(fh)'s lines
         lines = [line.partition("#")[0] for line in fh.read().split("\n")]
-    numbers = list(compress(range(1, len(lines) + 1), map(str.strip, lines)))
-    return [lines[n - 1] for n in numbers], numbers
+    kept = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+    numbers = np.flatnonzero(kept) + 1
+    if not len(numbers) or numbers[-1] == len(numbers):
+        del lines[len(numbers) :]
+        return lines, range(1, len(numbers) + 1)
+    return list(compress(lines, kept)), numbers
 
 
 def _coordinates(lines: list[str]) -> np.ndarray | None:
@@ -205,7 +211,7 @@ def _off_faces(lines: list[str]) -> np.ndarray:
         raise MeshFormatError(f"bad face index: {exc}") from exc
 
 
-def _read_off(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
+def _read_off(lines: list[str], numbers: Sequence[int]) -> tuple[Block, Block]:
     """The vertex and face lines of an OFF file, after its header and counts."""
     if not lines:
         raise MeshFormatError("empty file", line=1)
@@ -253,7 +259,7 @@ def _obj_faces(lines: list[str]) -> np.ndarray:
     return _index_array(indices) - 1
 
 
-def _read_obj(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
+def _read_obj(lines: list[str], numbers: Sequence[int]) -> tuple[Block, Block]:
     """The ``v`` and ``f`` lines of an OBJ file, without their directive;
     every other directive (vn, vt, o, g, s, usemtl, ...) is ignored."""
     blocks = {"v": ([], []), "f": ([], [])}
@@ -263,7 +269,7 @@ def _read_obj(lines: list[str], numbers: list[int]) -> tuple[Block, Block]:
         if block:
             block[0].append(parts[1] if len(parts) == 2 else "")
             block[1].append(lineno)
-    return blocks["v"], blocks["f"]
+    return tuple((text, np.array(rows, dtype=np.int64)) for text, rows in blocks.values())
 
 
 _FORMATS = {"off": (_read_off, _off_faces), "obj": (_read_obj, _obj_faces)}
@@ -289,7 +295,32 @@ def _first_bad_line(parse, block: Block) -> MeshFormatError | None:
     return None
 
 
-def _build_model(xy: np.ndarray, faces: np.ndarray, numbers: list[int]) -> MeshModel:
+def _split(lines: list[str]) -> Iterator[list[str]]:
+    """``lines`` in blocks of ``FACE_BLOCK``; one empty block when there are none."""
+    for start in range(0, len(lines) or 1, FACE_BLOCK):
+        yield lines[start : start + FACE_BLOCK]
+
+
+def _parse(path, read, parse_faces) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """The (V, 2) vertices and (F, 3) vertex indices of the file, and its
+    face lines' numbers.  Each parser runs over ``FACE_BLOCK`` lines at a
+    time; the line text lives in this frame only."""
+    vertices, faces = read(*_significant_lines(path))
+    try:
+        coords = [_coordinates(part) for part in _split(vertices[0])]
+        indices = [parse_faces(part) for part in _split(faces[0])]
+    except MeshFormatError:
+        named = [_first_bad_line(_coordinates, vertices), _first_bad_line(parse_faces, faces)]
+        raise min(filter(None, named), key=lambda e: e.line) from None
+    if not vertices[0]:
+        raise MeshFormatError("no vertex lines found", line=1)
+    if any(c is None for c in coords) or len({c.shape[1] for c in coords}) > 1:
+        # every line passed its own check
+        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=vertices[1][0])
+    return _flatten(np.concatenate(coords), vertices[1][0]), np.concatenate(indices), faces[1]
+
+
+def _build_model(xy: np.ndarray, faces: np.ndarray, numbers: Sequence[int]) -> MeshModel:
     outside = _first_outside(faces, len(xy))
     if outside is not None:
         t, index = outside
@@ -331,18 +362,7 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
         fmt = suffix
     if fmt.lower() not in _FORMATS:
         raise ValueError(f"unsupported mesh format {fmt!r} (use 'off' or 'obj')")
-    read, parse_faces = _FORMATS[fmt.lower()]
-    vertices, faces = read(*_significant_lines(path))
-    try:
-        coords, indices = _coordinates(vertices[0]), parse_faces(faces[0])
-    except MeshFormatError:
-        named = [_first_bad_line(_coordinates, vertices), _first_bad_line(parse_faces, faces)]
-        raise min(filter(None, named), key=lambda e: e.line) from None
-    if not vertices[0]:
-        raise MeshFormatError("no vertex lines found", line=1)
-    if coords is None:  # every line passed its own check
-        raise MeshFormatError("vertex lines mix 2D and 3D coordinates", line=vertices[1][0])
-    return _build_model(_flatten(coords, vertices[1][0]), indices, faces[1])
+    return _build_model(*_parse(path, *_FORMATS[fmt.lower()]))
 
 
 def save_off(mesh: MeshModel, path) -> None:
@@ -456,9 +476,9 @@ class QualityReport(_ArrayValue):
         of the block's table: the face index, then the ``repr`` of alpha,
         beta, gamma, q and each prediction, made once and shared by every layout."""
         yield [layout[0] for layout in layouts]
-        values = np.column_stack((self.angles, self.q, self.predicted))
-        for start in range(0, len(values), FACE_BLOCK):
-            block = values[start : start + FACE_BLOCK]
+        for start in range(0, len(self.q), FACE_BLOCK):
+            rows = slice(start, start + FACE_BLOCK)
+            block = np.column_stack((self.angles[rows], self.q[rows], self.predicted[rows]))
             text = np.array([*map(repr, block.ravel().tolist())], dtype=object).reshape(block.shape)
             table = np.column_stack((np.arange(start, start + len(block)), text))
             yield [
@@ -655,13 +675,16 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     )
     # "%.9g" is fmt's text; one % per block of corners is faster than one per corner
     corner = np.array("".join(block_rows("%.9g,%.9g", "\n", pts)).split("\n"), dtype=object)
-    _, q = _repaired_quality(mesh.angles)
-    fills = np.array(cmap.colors(q), dtype=object)
     template = (
         '  <polygon points="%s %s %s" fill="%s" '
         f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>\n'
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
-        fh.writelines(block_rows(template, "", np.column_stack((corner[mesh.faces], fills))))
+        for start in range(0, len(mesh.faces), FACE_BLOCK):
+            rows = slice(start, start + FACE_BLOCK)
+            _, q = _repaired_quality(mesh.angles[rows])
+            fills = np.array(cmap.colors(q), dtype=object)
+            table = np.column_stack((corner[mesh.faces[rows]], fills))
+            fh.writelines(block_rows(template, "", table))
         fh.write("</svg>\n")

@@ -37,8 +37,10 @@ CONSTRAINT_TOL = 1e-10
 
 _NAMES = ("alpha", "beta", "gamma")
 
-#: random_mesh: Dirichlet concentration, angle floor, and draws before failing.
+#: random_mesh: Dirichlet and Beta concentration, the largest base split,
+#: angle floor, and draws before failing.
 RANDOM_CONCENTRATION = 8.0
+RANDOM_MAX_SPLIT = 0.45
 RANDOM_MIN_ANGLE = 1e-3
 RANDOM_MAX_TRIES = 1000
 
@@ -395,13 +397,15 @@ def optimal_mesh(n: int) -> SimpleMeshAngles:
 def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     """Sample a random constraint-satisfying fan mesh.
 
-    Apex angles are a Dirichlet partition of 2 pi, beta angles a Dirichlet
-    partition of (N - 2) pi / 2, and gamma completes each triangle.  Draws
-    are rejected until all angles -- including those of the following
-    transformation step -- clear ``RANDOM_MIN_ANGLE``; because deviations
-    halve and alternate in sign, that single look-ahead bounds the whole
-    trajectory away from zero.  DegenerateMeshError means all
-    ``RANDOM_MAX_TRIES`` draws failed.
+    Apex angles are a Dirichlet partition of 2 pi.  Each base sum
+    s_i = pi - alpha_i splits as beta_i = s_i (1/2 + d_i) and gamma_i =
+    s_i - beta_i, with d_i a centred Beta draw projected so that
+    sum(s_i d_i) = 0, which makes the betas sum to (N - 2) pi / 2, and
+    scaled so that |d_i| <= ``RANDOM_MAX_SPLIT``.  Draws are rejected until
+    all angles -- including those of the following transformation step --
+    clear ``RANDOM_MIN_ANGLE``; because deviations halve and alternate in
+    sign, that single look-ahead bounds the whole trajectory away from
+    zero.  DegenerateMeshError means all ``RANDOM_MAX_TRIES`` draws failed.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -410,8 +414,11 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
     for _ in range(RANDOM_MAX_TRIES):
         alpha = rng.dirichlet(conc) * (2.0 * PI)
         alpha *= 2.0 * PI / alpha.sum()
-        beta = rng.dirichlet(conc) * ((n - 2) * PI / 2.0)
-        beta *= (n - 2) * PI / 2.0 / beta.sum()
+        base = PI - alpha
+        d = rng.beta(RANDOM_CONCENTRATION, RANDOM_CONCENTRATION, n) - 0.5
+        d -= (base @ d) / (base @ base) * base
+        d *= RANDOM_MAX_SPLIT / max(RANDOM_MAX_SPLIT, np.abs(d).max())
+        beta = base * (0.5 + d)
         x = np.stack((alpha, beta, PI - alpha - beta))
         if x.min() <= RANDOM_MIN_ANGLE:
             continue

@@ -595,10 +595,10 @@ def test_simple_mesh_negative_seed_is_usage_error(capsys, tmp_path, config):
 
 
 def test_simple_mesh_random_failure_is_numeric_error(capsys):
-    code, out, err = run(capsys, ["simple-mesh", "--n", "1000", "--random", "1"])
+    code, out, err = run(capsys, ["simple-mesh", "--n", "2000", "--random", "1"])
     assert code == 4
     assert out == ""
-    assert err.startswith("error: no valid random 1000-fan")
+    assert err.startswith("error: no valid random 2000-fan")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -842,6 +843,47 @@ def test_render_viewbox_has_margin(tmp_path):
     assert y == pytest.approx(-1.0 - 0.02, rel=1e-6)
 
 
+# --- memory ------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def grid_45k(tmp_path_factory):
+    """A 45,000-face grid, the size of the grid_45k benchmark's mesh."""
+    path = tmp_path_factory.mktemp("grid") / "grid.off"
+    path.write_text(jittered_grid_off(150, seed=0))
+    return path
+
+
+def traced_peak(fn) -> float:
+    """The tracemalloc peak of ``fn()``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_mesh_parses_one_block_of_lines_at_a_time(grid_45k):
+    # the file's line strings and the mesh's arrays take about 8 MiB; every
+    # face line's tokens as objects and a list of line numbers took 23 MiB
+    assert traced_peak(lambda: load_mesh(grid_45k)) < 12
+
+
+def test_report_write_formats_one_block_of_values_at_a_time(grid_45k, tmp_path):
+    report = analyze(load_mesh(grid_45k), (1, 2, 4))
+    # one block's strings for both files take about 7.3 MiB; a (F, 7) table
+    # of the whole report's values added 2.2 MiB to that
+    peak = traced_peak(lambda: report.write(tmp_path / "r.json", tmp_path / "r.csv"))
+    assert peak < 8.5
+
+
+def test_render_svg_builds_one_block_of_polygons_at_a_time(grid_45k, tmp_path):
+    mesh = load_mesh(grid_45k)
+    # the corner strings and one block's table take about 3.8 MiB; the fills
+    # and the (F, 4) polygon table of the whole mesh took 12.8 MiB
+    assert traced_peak(lambda: render_svg(mesh, tmp_path / "m.svg")) < 6
+
+
 # --- parser fuzzing ----------------------------------------------------------------
 
 FUZZ_TOKENS = "OFF v f 3 0 1 -1 0.5 1e308 nan inf # 1/2".split() + ["\n"] * 4
@@ -1064,10 +1106,10 @@ def big_off(vertex_lines, face_lines):
     return "\n".join(["OFF", "5000 5000 0", *vertices, *faces]) + "\n"
 
 
-def big_obj(lines):
-    """OBJ text of 6000 lines, ``v`` and ``f`` in turn, with the lines at
-    the given (0-based) indices replaced."""
-    body = [f"v {i} {i * i % 7}" if i % 2 == 0 else "f 1 2 3" for i in range(6000)]
+def big_obj(lines, count=6000):
+    """OBJ text of ``count`` lines, ``v`` and ``f`` in turn, with the lines
+    at the given (0-based) indices replaced."""
+    body = [f"v {i} {i * i % 7}" if i % 2 == 0 else "f 1 2 3" for i in range(count)]
     return "\n".join(lines.get(i, line) for i, line in enumerate(body)) + "\n"
 
 # (format, text): what each case exercises is in its id
@@ -1124,15 +1166,20 @@ READER_CASES = {
     "big-mixed-2d-3d": ("off", big_off({2500: "0 0 0"}, {})),
     "big-mixed-2d-3d-then-bad-face": ("off", big_off({2500: "0 0 0"}, {4999: "3 0 1"})),
     "big-obj-face-before-vertex": ("obj", big_obj({5001: "f -1 x 2", 5500: "v 1 x"})),
+    # each 4096-line block is uniform on its own: the mix shows only across blocks
+    "big-2d-block-then-3d-block": ("off", big_off({i: f"{i} 0 0" for i in range(4096, 5000)}, {})),
+    "big-bad-face-in-second-block-only": ("off", big_off({}, {4096: "3 0 1"})),
+    "big-index-past-int64-in-second-block": ("off", big_off({}, {4500: f"3 0 1 {BIG}"})),
+    # 5000 v and 5000 f lines, so both cross a block edge
+    "big-obj-interleaved-across-blocks": ("obj", big_obj({}, 10000)),
 }
 
 
-@pytest.mark.filterwarnings("error")
-def test_bulk_readers_match_per_line_readers(tmp_path):
+def assert_bulk_readers_match_per_line_readers(tmp_path):
     # the 500 fuzz streams of the CLI fuzz test, then the targeted cases
     rng = random.Random(5)
-    cases = [(("off", "obj")[i % 2], None) for i in range(500)]
-    cases = [(fmt, fuzz_text(rng, fmt)) for fmt, _ in cases] + list(READER_CASES.values())
+    cases = [(fmt, fuzz_text(rng, fmt)) for fmt in ("off", "obj") * 250]
+    cases += READER_CASES.values()
     outcomes = Counter()
     for fmt, text in cases:
         path = tmp_path / f"m.{fmt}"
@@ -1141,6 +1188,19 @@ def test_bulk_readers_match_per_line_readers(tmp_path):
         assert bulk == reference, (fmt, text)
         outcomes[bulk[0] if isinstance(bulk[0], type) else "loaded"] += 1
     assert outcomes["loaded"] > 20 and outcomes[MeshFormatError] > 100, outcomes
+
+
+@pytest.mark.filterwarnings("error")
+def test_bulk_readers_match_per_line_readers(tmp_path):
+    assert_bulk_readers_match_per_line_readers(tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bulk_readers_match_per_line_readers_in_small_blocks(tmp_path, monkeypatch):
+    # no fuzz stream has more than 7 vertex or face lines; in blocks of 2,
+    # 186 of the 500 are parsed across blocks, and a block can still mix 2D and 3D
+    monkeypatch.setattr(mesh_io, "FACE_BLOCK", 2)
+    assert_bulk_readers_match_per_line_readers(tmp_path)
 
 
 def test_reader_cases_reach_their_branches(tmp_path):
@@ -1177,3 +1237,13 @@ def test_reader_cases_reach_their_branches(tmp_path):
     assert outcome("big-obj-face-before-vertex")[1:] == (
         "line 5002: face index -1 must be positive (1-based)", 5002
     )
+    assert outcome("big-2d-block-then-3d-block")[1:] == (
+        "line 3: vertex lines mix 2D and 3D coordinates", 3
+    )
+    assert outcome("big-bad-face-in-second-block-only")[1:] == (
+        "line 9099: face line needs 3 vertex indices", 9099
+    )
+    assert outcome("big-index-past-int64-in-second-block")[1:] == (
+        f"line 9503: face index {BIG} out of range (mesh has 5000 vertices)", 9503
+    )
+    assert outcome("big-obj-interleaved-across-blocks")[0][1][1] == (5000, 3)  # the faces

@@ -613,9 +613,27 @@ def test_random_mesh_rejects_a_draw_whose_next_step_is_too_thin(monkeypatch):
     assert transform_mesh(m).angles.min() > simple_mesh.RANDOM_MIN_ANGLE
 
 
+def test_random_mesh_draws_fans_up_to_1500_triangles():
+    # splitting each base sum keeps gamma off the floor; a second Dirichlet
+    # draw for the betas ran out of its 1000 draws from about N = 800
+    class Counted(np.random.Generator):
+        draws = 0
+
+        def dirichlet(self, alpha, size=None):
+            self.draws += 1
+            return super().dirichlet(alpha, size)
+
+    for n, most in ((800, 4), (1000, 4), (1500, 33)):
+        for seed in range(20):
+            rng = Counted(np.random.PCG64(seed))  # the stream of random_mesh(n, seed)
+            m = random_mesh(n, rng)
+            assert m == random_mesh(n, seed) and rng.draws <= most
+            assert transform_mesh(m).angles.min() > simple_mesh.RANDOM_MIN_ANGLE
+
+
 def test_random_mesh_exhausted_draws_are_degenerate_mesh_error():
-    with pytest.raises(DegenerateMeshError, match="no valid random 1000-fan"):
-        random_mesh(1000, 1)
+    with pytest.raises(DegenerateMeshError, match="no valid random 2000-fan"):
+        random_mesh(2000, 1)
 
 
 def test_random_mesh_rejects_small_n():
