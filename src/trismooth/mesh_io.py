@@ -23,7 +23,7 @@ import numpy as np
 
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
-from .plane_geometry import _json_rows
+from .plane_geometry import _json_rows, _output
 
 __all__ = [
     "MeshModel", "MeshFormatError", "DegenerateFace", "QualityReport", "ColorMap",
@@ -367,7 +367,7 @@ def load_mesh(path, fmt: str | None = None) -> MeshModel:
 
 def save_off(mesh: MeshModel, path) -> None:
     """Write the mesh as OFF with full float precision (lossless round trip)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path, "\n") as fh:
         fh.write(f"OFF\n{len(mesh.xy)} {len(mesh.faces)} 0\n")
         fh.writelines(block_rows("%.17g %.17g 0\n", "", mesh.xy))
         fh.writelines(block_rows("3 %d %d %d\n", "", mesh.faces))
@@ -507,7 +507,7 @@ class QualityReport(_ArrayValue):
             outputs = ((json_path, lambda: self._json_layout("\n")), (csv_path, self._csv_layout))
             for path, layout in outputs:
                 if path is not None:
-                    files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                    files.append(stack.enter_context(_output(path, "")))
                     layouts.append(layout())
             if len(files) == 2 and os.path.sameopenfile(files[0].fileno(), files[1].fileno()):
                 del files[0], layouts[0]
@@ -679,7 +679,7 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
         '  <polygon points="%s %s %s" fill="%s" '
         f'stroke="#262626" stroke-width="{fmt(stroke_width)}"/>\n'
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path, "\n") as fh:
         fh.write(header)
         for start in range(0, len(mesh.faces), FACE_BLOCK):
             rows = slice(start, start + FACE_BLOCK)

@@ -14,13 +14,16 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_dynamics import AngleTriple, _nondegenerate, _setstate
+from .angle_dynamics import AngleTriple, _field_setters, _nondegenerate, _setstate
 
 __all__ = [
     "Point2", "TrianglePoints", "GrowthFactor", "GrowthReport",
@@ -53,16 +56,19 @@ class DegenerateIntersectionError(ArithmeticError):
     past the collinearity test, a numeric failure."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point2:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(
-                f"point coordinates must be finite, got ({self.x!r}, {self.y!r})"
-            )
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+
+_set_x, _set_y = _field_setters(Point2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +213,38 @@ def block_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
         block = table[start : start + FACE_BLOCK]
         text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
         yield sep + text if start else text
+
+
+@contextmanager
+def _output(path, newline: str):
+    """``path`` as ``open(path, "w", encoding="utf-8", newline=newline)`` gives
+    it, but written over in place, not emptied first: on exit, after an
+    exception too, a regular file is cut to the bytes written, so it ends as
+    "w" would leave it, with its inode, links and mode.  A handle that wrote
+    nothing leaves the file as it was, and removes it only if this call made
+    it and it is still empty (another handle on it may have written).  A
+    device or a FIFO is only written.  Killed mid-write, the file holds the
+    new text followed by the old file's tail, where "w" leaves the new text."""
+    flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    try:
+        fd, made = os.open(path, flags), False
+    except FileNotFoundError:
+        try:
+            fd, made = os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o666), True
+        except FileExistsError:  # a dangling symlink: "w" makes its target
+            fd, made = os.open(path, flags | os.O_CREAT, 0o666), False
+    fh = os.fdopen(fd, "w", encoding="utf-8", newline=newline)
+    try:
+        yield fh
+    finally:
+        with fh:
+            fh.flush()
+            info = os.fstat(fd)
+            end = os.lseek(fd, 0, os.SEEK_CUR) if stat.S_ISREG(info.st_mode) else None
+            if end and end < info.st_size:
+                os.ftruncate(fd, end)
+        if made and end == 0 == info.st_size:
+            os.remove(path)
 
 
 def _json_rows(document: dict, key: str, row: dict) -> tuple[str, str, str]:

@@ -23,7 +23,7 @@ from itertools import starmap
 import numpy as np
 
 from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
-from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, block_rows
+from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, _output, block_rows
 
 __all__ = [
     "SimpleMeshAngles", "SimpleMeshGeometry", "CorrectionTerms", "ClosureResidual",
@@ -544,7 +544,7 @@ def mesh_json_chunks(m: SimpleMeshAngles) -> Iterator[str]:
 
 def _write_fan(chunks, path) -> None:
     """The fan file: ``mesh_json_chunks``' text ``chunks`` and a newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path, "\n") as fh:
         fh.writelines(chunks)
         fh.write("\n")
 

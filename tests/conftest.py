@@ -1,9 +1,14 @@
-"""Shared generators for seeded random triangles and fan meshes."""
+"""Shared generators for seeded random triangles and fan meshes, the scalar
+reference code, and the checks every output file writer passes."""
 
+import errno
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from trismooth import AngleTriple, Point2, SimpleMeshAngles, TrianglePoints
@@ -349,3 +354,51 @@ def float_bits(value):
     if isinstance(value, tuple):
         return tuple(float_bits(v) for v in value)
     return value
+
+
+def check_output_writer(tmp_path, monkeypatch, write, rows_module, rows_kept, marker):
+    """``write(path)`` leaves every file as ``open(path, "w")`` would, but
+    written over in place: over a longer file it leaves a fresh write's bytes
+    and keeps the inode, the mode and a second hard link; it writes a
+    symlink's target, existing or not, and ``os.devnull``.  Failing the call
+    to ``rows_module.block_rows`` after ``rows_kept`` calls makes it raise,
+    leaving exactly the text written before: the fresh text up to ``marker``."""
+    fresh_path, by_w = tmp_path / "fresh.out", tmp_path / "by_w.out"
+    write(fresh_path)
+    open(by_w, "w").close()
+    fresh = fresh_path.read_bytes()
+    assert fresh_path.stat().st_mode == by_w.stat().st_mode
+    stale = b"stale tail\n" * (len(fresh) // 4 + 10)
+
+    path, link = tmp_path / "old.out", tmp_path / "link.out"
+    path.write_bytes(stale)
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    write(path)
+    after = path.stat()
+    assert path.read_bytes() == link.read_bytes() == fresh
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+
+    for target in (path, tmp_path / "absent.out"):
+        symlink = tmp_path / f"to-{target.name}"
+        symlink.symlink_to(target)
+        write(symlink)
+        assert symlink.is_symlink() and target.read_bytes() == fresh
+
+    write(os.devnull)
+    assert not Path(os.devnull).is_file()
+
+    real, calls = rows_module.block_rows, []
+
+    def rows(*args):
+        if len(calls) == rows_kept:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rows_module, "block_rows", rows)
+    path.write_bytes(stale)
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    assert path.read_bytes() == fresh[: fresh.index(marker)] != b""

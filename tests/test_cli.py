@@ -803,6 +803,21 @@ def test_analyze_report_and_csv_in_one_file_hold_the_csv(capsys, tmp_path, how):
     assert target.read_bytes() == alone.read_bytes()
 
 
+@pytest.mark.parametrize("before", [None, "an older report\n"], ids=["absent", "existing"])
+def test_analyze_bad_csv_path_leaves_the_report_as_it_was(capsys, tmp_path, before):
+    # the CSV fails to open once the report is open: the report's handle wrote
+    # nothing, so a file it made goes and an existing one keeps its bytes
+    mesh, report = tmp_path / "m.off", tmp_path / "r.json"
+    mesh.write_text(MINIMAL_OFF)
+    if before is not None:
+        report.write_text(before)
+    bad = tmp_path / "missing" / "r.csv"
+    code, _, err = run(capsys, ["analyze", str(mesh), "--report", str(report), "--csv", str(bad)])
+    assert (code, err) == (3, f"error: [Errno 2] No such file or directory: {str(bad)!r}\n")
+    assert (report.read_text() if report.exists() else None) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.off"] + ["r.json"] * (before is not None)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 def test_analyze_reports_to_dev_null(capsys, tmp_path):
     mesh = tmp_path / "m.off"

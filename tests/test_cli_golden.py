@@ -217,6 +217,18 @@ def test_cli_output_matches_golden(golden, tmp_path, name):
     assert got["files"] == expected["files"]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_rerun_over_padded_outputs_matches_golden(golden, tmp_path, name):
+    # outputs are written over in place: a second run leaves no stale tail
+    run_case(CASES[name], tmp_path)
+    for path in tmp_path.iterdir():
+        if path.name not in INPUTS:
+            with path.open("ab") as fh:
+                fh.write(b"<stale tail>\n" * 100)
+    got = run_case(CASES[name], tmp_path)
+    assert got == {key: golden[name][key] for key in got}
+
+
 def test_json_cases_build_no_text(golden, tmp_path, monkeypatch):
     # under --json main prints only the document, so no command builds its table
     def refuse(*args):

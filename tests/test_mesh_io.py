@@ -31,6 +31,8 @@ from trismooth import (
     save_off,
 )
 
+from conftest import check_output_writer
+
 PI = math.pi
 SQRT3 = math.sqrt(3)
 
@@ -841,6 +843,29 @@ def test_render_viewbox_has_margin(tmp_path):
     assert w == pytest.approx(1.0 + 0.04, rel=1e-6)
     assert h == pytest.approx(1.0 + 0.04, rel=1e-6)
     assert y == pytest.approx(-1.0 - 0.02, rel=1e-6)
+
+
+# --- output files ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, rows_kept, marker",
+    [
+        ("save_off", 1, b"3 0 1 2\n"),  # the vertex rows, then the faces fail
+        ("report json", 0, b"    {\n"),  # the head, then the first block fails
+        ("report csv", 0, b"0,"),
+        ("render_svg", 1, b"  <polygon"),  # the corner text, then the first polygons fail
+    ],
+)
+def test_writers_write_over_in_place_and_cut_to_length(tmp_path, monkeypatch, name, rows_kept, marker):
+    mesh = load_mesh(write(tmp_path, "m.off", TWO_TRIANGLE_OFF))
+    report = analyze(mesh, (1, 2))
+    writer = {
+        "save_off": lambda path: save_off(mesh, path),
+        "report json": lambda path: report.write(json_path=path),
+        "report csv": lambda path: report.write(csv_path=path),
+        "render_svg": lambda path: render_svg(mesh, path),
+    }[name]
+    check_output_writer(tmp_path, monkeypatch, writer, mesh_io, rows_kept, marker)
 
 
 # --- memory ------------------------------------------------------------------------

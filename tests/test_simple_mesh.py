@@ -41,7 +41,7 @@ from trismooth.angle_dynamics import STEP_CLAMP
 from trismooth.plane_geometry import FACE_BLOCK, _distinct_text
 from trismooth.simple_mesh import mesh_from_dict, mesh_steps
 
-from conftest import closing_mesh, mesh_to_dict
+from conftest import check_output_writer, closing_mesh, mesh_to_dict
 
 PI = math.pi
 
@@ -542,6 +542,12 @@ def test_save_mesh_angles_matches_json_dump(tmp_path, n):
         save_mesh_angles(m, tmp_path / "new.json")
         reference_save_mesh_angles(m, tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_fan_file_is_written_over_in_place_and_cut_to_length(tmp_path, monkeypatch):
+    # the head, then the first block of rows fails
+    writer = functools.partial(save_mesh_angles, random_mesh(7, 3))
+    check_output_writer(tmp_path, monkeypatch, writer, simple_mesh, 0, b"    {\n")
 
 
 # --- quality --------------------------------------------------------------------
