@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterator
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .plane_geometry import (
     TrianglePoints,
     _distinct_text,
     _json_rows,
+    _output,
     angles_of,
     block_rows,
     construct_transformed,
@@ -239,6 +241,16 @@ def cmd_predict(args: argparse.Namespace) -> Result:
     return {"predictions": entries}, lambda: _table(entries, columns)
 
 
+#: A ``construct`` step lost to rounding misses the step before's pairwise
+#: means by more (rad), or under ``--rescale`` the start area (as a share).
+_STEP_TOL = 1e-9
+
+
+def _check_step(n: int, miss: float, what: str) -> None:
+    if not miss <= _STEP_TOL:
+        raise ArithmeticError(f"construct step {n} is lost to rounding: {what % miss}")
+
+
 def cmd_construct(args: argparse.Namespace) -> Result:
     v = _parse_values(args.points, "--points", 6, "6 values (x1,y1,x2,y2,x3,y3)")
     tri = TrianglePoints(Point2(v[0], v[1]), Point2(v[2], v[3]), Point2(v[4], v[5]))
@@ -248,15 +260,22 @@ def cmd_construct(args: argparse.Namespace) -> Result:
         new = construct_transformed(cur)
         return rescale_to_area(new, area0) if args.rescale else new
 
-    entries = []
+    entries, means = [], None
     for n, cur in enumerate(_stepping(args, tri, step)):
-        ang = angles_of(cur)
+        ang, area = angles_of(cur), cur.area()
+        a, b, g = ang.as_tuple()
+        if means is not None:
+            miss = max(abs(x - y) for x, y in zip((a, b, g), means))
+            _check_step(n, miss, "its angles miss the paper's map by %.3g rad")
+            if args.rescale:
+                _check_step(n, abs(area - area0) / area0, "its area misses the start area by %.3g of it")
+        means = (0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))  # the paper's map, on tuples
         entries.append(
             {
                 "step": n,
                 "vertices": [[p.x, p.y] for p in cur.vertices()],
-                "angles": [_display(a, args.degrees) for a in ang.as_tuple()],
-                "area": cur.area(),
+                "angles": [_display(x, args.degrees) for x in (a, b, g)],
+                "area": area,
                 "quality": quality(ang).q,
             }
         )
@@ -321,29 +340,30 @@ def cmd_simple_mesh(args: argparse.Namespace) -> Result:
     rows, final = mesh_steps(mesh, _step_count(args))
     # the reported closure residual is always the one at radius 1
     geometry, residual = reconstruct_geometry(final, 1.0)
-    written = []
-    if args.svg is not None:
-        # draw the final fan with the starting fan's area
-        start_geom, _ = reconstruct_geometry(mesh, 1.0)
-        try:
-            radius = math.sqrt(start_geom.total_area() / geometry.total_area())
-        except ArithmeticError:  # an area sum past the float range, or a zero area
-            radius = math.nan
-        if not 0.0 < radius < math.inf:  # false for NaN, as inf - inf areas give
-            raise ArithmeticError("cannot draw the fan: its area leaves the float range")
-        geometry, _ = reconstruct_geometry(final, radius)
-        ring = np.arange(1, n + 1, dtype=np.int64)  # face i is (0, i + 1, i + 2) around the ring
-        faces = np.column_stack((np.zeros_like(ring), ring, np.roll(ring, -1)))
-        try:  # face i is fan triangle i, here too thin for floats if MeshModel finds it flat
-            model = MeshModel.__new__(MeshModel)._check(geometry.xy, faces, ())
-        except ValueError as exc:
-            raise ArithmeticError(f"cannot draw the fan: {exc}") from None
-        written.append(_write_svg(args, args.svg, model))
-    fan = mesh_json_chunks(final)
-    if args.output is not None:
-        fan = list(fan)  # each angle's text, made once for the file and stdout
-        _write_fan(fan, args.output)
-        written.insert(0, f"wrote {args.output}")
+    written, fan = [], mesh_json_chunks(final)
+    # the fan file opens first: a bad path fails before the SVG is drawn
+    with nullcontext() if args.output is None else _output(args.output, "\n") as fan_file:
+        if args.svg is not None:
+            # draw the final fan with the starting fan's area
+            start_geom, _ = reconstruct_geometry(mesh, 1.0)
+            try:
+                radius = math.sqrt(start_geom.total_area() / geometry.total_area())
+            except ArithmeticError:  # an area sum past the float range, or a zero area
+                radius = math.nan
+            if not 0.0 < radius < math.inf:  # false for NaN, as inf - inf areas give
+                raise ArithmeticError("cannot draw the fan: its area leaves the float range")
+            geometry, _ = reconstruct_geometry(final, radius)
+            ring = np.arange(1, n + 1, dtype=np.int64)  # face i is (0, i + 1, i + 2) around the ring
+            faces = np.column_stack((np.zeros_like(ring), ring, np.roll(ring, -1)))
+            try:  # face i is fan triangle i, here too thin for floats if MeshModel finds it flat
+                model = MeshModel.__new__(MeshModel)._check(geometry.xy, faces, ())
+            except ValueError as exc:
+                raise ArithmeticError(f"cannot draw the fan: {exc}") from None
+            written.append(_write_svg(args, args.svg, model))
+        if fan_file is not None:
+            fan = list(fan)  # each angle's text, made once for the file and stdout
+            _write_fan(fan, fan_file)
+            written.insert(0, f"wrote {args.output}")
 
     def text() -> list[str]:
         entries = [(step, *row) for step, row in enumerate(rows.tolist())]

@@ -3,8 +3,8 @@
 The averaging transformation has a ruler-and-compass realization: draw
 the interior angle bisectors, erect perpendiculars to them at the
 vertices, and intersect those perpendiculars pairwise.  The new vertices
-are the excenters of the original triangle, which gives a numerically
-stable closed form.  This module implements both routes, the growth
+are the excenters of the original triangle, which each corner's own
+frame builds stably.  This module implements both routes, the growth
 factor that governs the (divergent) edge lengths, and the rescaling
 needed to keep element areas under control.
 """
@@ -35,17 +35,6 @@ __all__ = [
 #: Cross products below this, relative to the squared longest edge (or the
 #: product of the direction lengths), mark collinear points (parallel lines).
 COLLINEAR_REL_EPS = 1e-12
-
-#: construct_transformed builds through the line intersections when an
-#: excenter weight (-a + b + c and cyclically) is below this times a + b + c.
-#: There the weight has lost 11 of its 16 digits: measured on unit-sized
-#: triangles, the closed form's angles are then off by up to 1e-10 (thin
-#: obtuse) or 1e-5 (one tiny angle), the line intersections' by under 1e-15.
-#: It is the largest ratio that keeps random triangles in the unit square
-#: on the closed form (the least among 400,000 of them is 1.75e-11); above
-#: it the closed form's error is about 1e-16 over the ratio.
-EXCENTER_WEIGHT_REL = 1e-11
-
 
 class CollinearTriangleError(ValueError):
     """The operation requires three non-collinear points."""
@@ -286,50 +275,41 @@ def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def construct_transformed(tri: TrianglePoints) -> TrianglePoints:
-    """Build the transformed triangle from vertex coordinates.
+    """The transformed triangle: its labeled angles are the pairwise means of
+    ``tri``'s, and its area is strictly larger (CollinearTriangleError for a
+    collinear ``tri``).
 
-    The perpendiculars to the interior bisectors intersect at the
-    excenters of the input triangle, so the production path uses the
-    excenter closed form directly: A' = (-a A + b B + c C) / (-a + b + c)
-    and cyclically, with A' opposite the side through B and C.  Only where
-    a weight such as -a + b + c is below ``EXCENTER_WEIGHT_REL`` (1e-11)
-    times a + b + c, as in a thin obtuse triangle whose largest angle is
-    within about 1e-5 of pi, does it build through the slower literal route,
-    :func:`construct_transformed_intersection`, which keeps its accuracy
-    there.  Above that ratio the closed form's angle error is up to about
-    1e-16 over the ratio: up to 1e-10 rad for a thin obtuse triangle, and
-    8e-9 rad for the triangle (0, 0), (1, 0), (1, 1e-8), whose ratio is
-    5e-9.
-
-    Parameters
-    ----------
-    tri : TrianglePoints
-        Non-collinear input triangle.
-
-    Returns
-    -------
-    TrianglePoints
-        Triangle whose labeled angles are the pairwise means of the
-        input's labeled angles.  Strictly larger in area than the input.
+    Its vertices are the excenters of ``tri``, where the perpendiculars to
+    the interior bisectors meet; A' is the one on A's bisector, opposite
+    the side through B and C, and cyclically.  Each is built in its
+    corner's own frame: with u and v the unit vectors along the edges
+    leaving P, d = u . v and s the semiperimeter, it is P + s (u + v) /
+    (1 + d), or at an obtuse corner (d < 0) the equal P + s (u - v) turned
+    a quarter, over u x v.  No two nearly opposite vectors are added, so
+    every shape, thin obtuse or with one tiny angle too, gets the pairwise
+    means to about 1e-15 rad.
     """
-    flat, (a, b, c), _ = _measure(tri)
+    flat, (a, b, c), (ax, ay, bx, by, cx, cy) = _measure(tri)
     if flat:
         raise CollinearTriangleError(f"collinear vertices {tri.vertices()}")
-    A, B, C = tri.a_vertex, tri.b_vertex, tri.c_vertex
-    wa, wb, wc = -a + b + c, a - b + c, a + b - c
-    least = EXCENTER_WEIGHT_REL * (a + b + c)
+    # |P' - P| = s / cos(P/2), which the range and flatness tests keep finite
+    s = 0.5 * a + 0.5 * b + 0.5 * c
+    ax, ay, bx, by, cx, cy = ax / a, ay / a, bx / b, by / b, cx / c, cy / c
+    return TrianglePoints(
+        _excenter(tri.a_vertex, cx, cy, bx, by, s),  # AB, AC
+        _excenter(tri.b_vertex, ax, ay, -cx, -cy, s),  # BC, -AB
+        _excenter(tri.c_vertex, -bx, -by, -ax, -ay, s),  # -AC, -BC
+    )
 
-    def weighted(ka: float, kb: float, kc: float, w: float) -> Point2:
-        return Point2((ka * A.x + kb * B.x + kc * C.x) / w, (ka * A.y + kb * B.y + kc * C.y) / w)
 
-    try:
-        if wa < least or wb < least or wc < least:
-            return construct_transformed_intersection(tri)
-        return TrianglePoints(
-            weighted(-a, b, c, wa), weighted(a, -b, c, wb), weighted(a, b, -c, wc)
-        )
-    except ValueError:  # Point2 rejects a vertex past the float range
-        raise OverflowError(f"transformed coordinates overflow for vertices {(A, B, C)}") from None
+def _excenter(p: Point2, ux: float, uy: float, vx: float, vy: float, s: float) -> Point2:
+    """The excenter on the bisector at ``p`` of unit edge vectors u and v."""
+    d = ux * vx + uy * vy
+    if d >= 0.0:
+        k = s / (1.0 + d)
+        return Point2(p.x + k * (ux + vx), p.y + k * (uy + vy))
+    k = s / (ux * vy - uy * vx)
+    return Point2(p.x - k * (uy - vy), p.y + k * (ux - vx))
 
 
 def _bisector_perpendicular(
@@ -368,8 +348,7 @@ def construct_transformed_intersection(tri: TrianglePoints) -> TrianglePoints:
     turn to get a line through that vertex; A' is the intersection of
     the lines at B and C, B' of those at A and C, C' of those at A and B.
     Serves as the independent cross-check for
-    :func:`construct_transformed`, and is its route where an excenter
-    weight cancels.
+    :func:`construct_transformed`.
     """
     if tri.is_collinear():
         raise CollinearTriangleError(f"collinear vertices {tri.vertices()}")

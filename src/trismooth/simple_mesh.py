@@ -257,20 +257,19 @@ class SimpleMeshGeometry(_ArrayValue):
         return math.fsum((0.5 * np.abs(self._areas)).tolist())
 
 
+#: The paper's averaging matrix: each row an exact zero and two exact halves,
+#: so any summation order, FMA too, rounds each angle once to 0.5 * (b + g).
+_HALF_SUMS = 0.5 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
 def fan_step(x: np.ndarray, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One corrected step of a (3, N) fan: ``0.5 * [b+g, a+g, a+b] + k``.
 
-    ``k`` is the (3, N) array of :func:`_k_rows`.  Each angle gets the
-    scalar expression's operations in its order, so its bits.  The sums go
-    row by row into ``out``, which must not overlap ``x``.
+    ``k`` is the (3, N) array of :func:`_k_rows`.  Above the subnormal
+    range each angle gets the scalar expression's bits, through
+    ``_HALF_SUMS``.  The result goes into ``out``, which must not overlap ``x``.
     """
-    if out is None:
-        out = np.empty(x.shape)
-    a, b, g = x
-    np.add(b, g, out[0])
-    np.add(a, g, out[1])
-    np.add(a, b, out[2])
-    out *= 0.5
+    out = np.matmul(_HALF_SUMS, x, out=out)
     out += k
     return out
 
@@ -542,14 +541,14 @@ def mesh_json_chunks(m: SimpleMeshAngles) -> Iterator[str]:
     yield tail
 
 
-def _write_fan(chunks, path) -> None:
-    """The fan file: ``mesh_json_chunks``' text ``chunks`` and a newline."""
-    with _output(path, "\n") as fh:
-        fh.writelines(chunks)
-        fh.write("\n")
+def _write_fan(chunks, fh) -> None:
+    """The fan file into the open ``fh``: ``mesh_json_chunks``' text and a newline."""
+    fh.writelines(chunks)
+    fh.write("\n")
 
 
 def save_mesh_angles(m: SimpleMeshAngles, path) -> None:
     """The interchange form of ``m`` as ``json.dump(indent=2)`` writes it,
     plus a newline."""
-    _write_fan(mesh_json_chunks(m), path)
+    with _output(path, "\n") as fh:
+        _write_fan(mesh_json_chunks(m), fh)

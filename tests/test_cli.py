@@ -270,24 +270,31 @@ def test_construct_overflow_is_numeric_error(capsys):
 
 
 def test_construct_excenter_overflow_is_numeric_error(capsys):
-    # every squared edge is in range, but an excenter's weighted sum is not
+    # every squared edge is in range, and step 1 is built in range, but its
+    # squared edges are not
     code, out, err = run(capsys, ["construct", "--points=0,0,0,1.25e154,-1.25e144,1.25e154"])
     assert (code, out) == (4, "")
-    assert err.startswith("error: transformed coordinates overflow for vertices (Point2(x=0.0")
+    assert err.startswith("error: squared edge length overflows for vertices (Point2(x=-6.25")
     assert len(err.splitlines()) == 1
 
 
-def test_construct_parallel_construction_lines_are_numeric_error(capsys, monkeypatch):
-    # the apex angle is pi less 1e-8: the excenter weight rounds to 0, and the
-    # triangle is built through the line intersections
-    assert run(capsys, ["construct", "--points=0,0,2,0,1,1e-8"])[0] == 0
+@pytest.mark.parametrize("rescale", [False, True])
+def test_construct_far_from_origin_is_numeric_error(capsys, rescale):
+    # near 1e17 the coordinates lie on a grid of 16, so step 1 is not the paper's
+    # map of step 0; the same shape at the origin is
+    argv = ["construct", "--steps", "3"] + ["--rescale"] * rescale
+    assert run(capsys, argv + ["--points=0,0,16,0,0,16"])[0] == 0
+    code, out, err = run(capsys, argv + ["--points=1e17,0,100000000000000016,0,1e17,16"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: construct step 1 is lost to rounding: its angles miss")
 
-    def parallel(*lines):
-        raise trismooth.plane_geometry.DegenerateIntersectionError("construction lines are parallel")
 
-    monkeypatch.setattr(trismooth.plane_geometry, "_intersect_lines", parallel)
-    code, out, err = run(capsys, ["construct", "--points=0,0,2,0,1,1e-8"])
-    assert (code, out, err) == (4, "", "error: construction lines are parallel\n")
+def test_construct_rescale_off_its_area_is_numeric_error(capsys, monkeypatch):
+    rescale = cli.rescale_to_area
+    monkeypatch.setattr(cli, "rescale_to_area", lambda tri, area: rescale(tri, area * (1 + 1e-6)))
+    code, out, err = run(capsys, ["construct", "--points=0,0,1,0,0,1", "--rescale", "--steps", "2"])
+    assert (code, out) == (4, "")
+    assert err == "error: construct step 1 is lost to rounding: its area misses the start area by 1e-06 of it\n"
 
 
 # --- simple-mesh ----------------------------------------------------------------
@@ -513,6 +520,39 @@ def test_simple_mesh_svg_of_a_fan_whose_area_sum_overflows(capsys, tmp_path):
     assert (code, out) == (4, "")
     assert err == "error: cannot draw the fan: its area leaves the float range\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
+@pytest.mark.parametrize("before", [None, "an older drawing\n"], ids=["absent", "existing"])
+def test_simple_mesh_bad_output_path_leaves_the_svg_as_it_was(capsys, tmp_path, before):
+    # the fan file opens before the SVG is drawn: a bad path fails first
+    svg, bad = tmp_path / "fan.svg", tmp_path / "missing" / "f.json"
+    if before is not None:
+        svg.write_text(before)
+    argv = ["simple-mesh", "--n", "5", "--optimal", "--svg", str(svg), "--output", str(bad)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"error: [Errno 2] No such file or directory: {str(bad)!r}\n")
+    assert (svg.read_text() if svg.exists() else None) == before
+
+
+@pytest.mark.parametrize("before", [None, "an older fan\n"], ids=["absent", "existing"])
+def test_simple_mesh_undrawable_fan_leaves_the_output_as_it_was(capsys, tmp_path, before):
+    # the fan file is open when the drawing fails: its handle wrote nothing, so
+    # a file it made goes and an existing one keeps its bytes
+    thin = [1e-13] + [(2 * PI - 1e-13) / 3] * 3
+    doc = {
+        "N": 4,
+        "triangles": [{"alpha": a, "beta": (PI - a) / 2, "gamma": (PI - a) / 2} for a in thin],
+    }
+    src, output = tmp_path / "thin.json", tmp_path / "f.json"
+    src.write_text(json.dumps(doc))
+    if before is not None:
+        output.write_text(before)
+    argv = ["simple-mesh", "--input", str(src), "--svg", str(tmp_path / "fan.svg"), "--output", str(output)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cannot draw the fan: ")
+    assert (output.read_text() if output.exists() else None) == before
+    assert not (tmp_path / "fan.svg").exists()
 
 
 def test_simple_mesh_svg_builds_no_points(monkeypatch, capsys, tmp_path):

@@ -101,7 +101,7 @@ CASES = {
         "construct", "--points", "0,0,1,0,0.2,0.7", "--steps", "3", "--degrees",
         "--rescale", "--json",
     ],
-    # the apex angle is pi less 1e-8: built through the line intersections
+    # the apex angle is pi less 1e-8
     "construct_thin_obtuse": [
         "construct", "--points", "0,0,2,0,1,1e-8", "--steps", "1", "--json",
     ],
@@ -164,9 +164,15 @@ CASES = {
     # a flag given as "" is used: the empty path fails to open
     "exit3_empty_report_path": ["analyze", "mesh.off", "--report", ""],
     "exit3_bad_json": ["simple-mesh", "--input", "bad.json"],
-    # every squared edge is in range, but an excenter's weighted sum is not
-    "exit4_construct_excenter_overflow": [
+    # every squared edge is in range, and step 1 is built in range, but its
+    # squared edges are not
+    "exit4_construct_step_leaves_range": [
         "construct", "--points", "0,0,0,1.25e154,-1.25e144,1.25e154",
+    ],
+    # near 1e17 the coordinates lie on a grid of 16: step 1 misses the paper's map
+    "exit4_construct_far_from_origin": [
+        "construct", "--points=1e17,0,100000000000000016,0,1e17,16", "--rescale", "--steps",
+        "3",
     ],
     "exit4_degenerate_fan_step": [
         "simple-mesh", "--input", "adversarial.json", "--steps", "1",
@@ -227,6 +233,14 @@ def test_cli_rerun_over_padded_outputs_matches_golden(golden, tmp_path, name):
                 fh.write(b"<stale tail>\n" * 100)
     got = run_case(CASES[name], tmp_path)
     assert got == {key: golden[name][key] for key in got}
+
+
+def test_error_cases_leave_no_output(golden):
+    # each case runs in a directory of inputs only: a failing command leaves no
+    # file that was not there before it ran
+    failing = [name for name in sorted(CASES) if golden[name]["code"] != 0]
+    assert len(failing) >= 10
+    assert {name: golden[name]["files"] for name in failing} == dict.fromkeys(failing, {})
 
 
 def test_json_cases_build_no_text(golden, tmp_path, monkeypatch):

@@ -178,9 +178,9 @@ def triangles():
 @example(points=((0.0, 0.0), (1e154, 0.0), (0.0, 1e154)))
 @example(points=((0.0, 0.0), (1e-155, 0.0), (0.0, 1e-155)))
 @example(points=((0.0, 0.0), (1.0, 0.0), (0.5, 1e-13)))
-# in range, but the excenter sums overflow: an OverflowError, not Point2's ValueError
+# in range, and so are its excenters, though the weighted sums -aA + bB + cC are not
 @example(points=((0.0, 0.0), (0.0, 1.25e154), (-1.25e144, 1.25e154)))
-# a thin obtuse triangle whose excenter weight cancels: the line route
+# a thin obtuse triangle: its apex angle is pi less 1e-8
 @example(points=((0.0, 0.0), (2.0, 0.0), (0.7, 1e-8)))
 @settings(deadline=None, max_examples=300)
 def test_triangle_kernels_match_reference(points):
