@@ -188,12 +188,21 @@ class CoefficientSequence:
     values: tuple[int, ...]
 
     def a(self, k: int) -> int:
-        k = operator.index(k)
-        if k < 0:
-            raise IndexError("coefficient index must be >= 0")
-        if k == 0:
-            return 0
-        return self.values[k - 1]
+        try:
+            k = _count(k, 0, "coefficient index must be >= 0")
+        except ValueError as exc:  # an index out of range, not a bad count
+            raise IndexError(exc) from None
+        return self.values[k - 1] if k else 0
+
+
+def _count(n, least: int, message: str) -> int:
+    """``n`` read as a count: an int through ``operator.index`` (numpy
+    integers pass, a float or a string is a TypeError), at least ``least``,
+    else ``ValueError(message)`` with ``{n}`` filled in."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(message.format(n=n))
+    return n
 
 
 def after_steps(x, fixed, n: int):
@@ -244,9 +253,7 @@ def iterate(t: AngleTriple, n: int) -> AngleTriple:
     Evaluated in closed deviation form.  One degeneracy check suffices, as
     a step maps angles in (eps, pi - eps) into (eps, pi / 2).
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
+    n = _count(n, 0, "iteration count must be >= 0")
     if n == 0:
         return t
     return AngleTriple(*after_steps(_nondegenerate(t), THIRD_PI, n))
@@ -255,9 +262,7 @@ def iterate(t: AngleTriple, n: int) -> AngleTriple:
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's entry
 def coefficients(n: int) -> CoefficientSequence:
     """Coefficients a_1..a_n of the closed-form power, by exact recurrence."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("coefficient count must be >= 1")
+    n = _count(n, 1, "coefficient count must be >= 1")
     vals = [1, 1]
     while len(vals) < n:
         vals.append(vals[-1] + 2 * vals[-2])
@@ -272,9 +277,7 @@ def deviations_after(t: AngleTriple, n: int) -> tuple[float, float, float]:
     no rounding error beyond the initial subtraction.  It is the stable
     way to measure contraction rates once the angles are close to pi/3.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
+    n = _count(n, 0, "iteration count must be >= 0")
     return tuple(after_steps(x - THIRD_PI, 0.0, n) for x in t.as_tuple())
 
 
@@ -286,9 +289,7 @@ def iterate_closed_form(t: AngleTriple, n: int) -> AngleTriple:
     growing quantities, so evaluation switches to deviation form around
     pi/3.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("closed-form power requires n >= 1")
+    n = _count(n, 1, "closed-form power requires n >= 1")
     if n > CLOSED_FORM_CAP:
         return iterate(t, n)
     a, b, g = _nondegenerate(t)
@@ -339,9 +340,7 @@ def predict_quality(
     alt_even : bool
         Use the alternative even-step expression (see above).
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    n = _count(n, 0, "step count must be >= 0")
     if n == 0:
         return quality(t)
     angles = _nondegenerate(t)
@@ -368,9 +367,7 @@ def convergence_rate_check(t: AngleTriple, k: int) -> float:
     float halving), so the result is 1/4 for every non-equilateral
     input until the deviation underflows.
     """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("rate check requires k >= 1")
+    k = _count(k, 1, "rate check requires k >= 1")
     dev = max(t.as_tuple()) - THIRD_PI
     if dev <= 0.0:
         raise EquilateralTriangleError(

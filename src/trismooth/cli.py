@@ -27,6 +27,7 @@ from .angle_dynamics import (
     STEP_CLAMP,
     THIRD_PI,
     AngleTriple,
+    _count,
     predict_quality,
     quality,
     transform,
@@ -41,6 +42,7 @@ from .mesh_io import (
 )
 from .plane_geometry import (
     FACE_BLOCK,
+    CollinearTriangleError,
     Point2,
     TrianglePoints,
     _distinct_text,
@@ -146,11 +148,10 @@ def _parse_values(value, flag: str, count: int | None = None, what: str = ""):
 
 def _step_count(args: argparse.Namespace) -> int:
     """``--steps`` of ``iterate``, ``construct`` and ``simple-mesh``, checked."""
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
-    if args.steps > STEP_CLAMP:  # every triangle and fan is at its fixed point by then
+    steps = _count(args.steps, 0, "--steps must be >= 0")
+    if steps > STEP_CLAMP:  # every triangle and fan is at its fixed point by then
         raise ValueError(f"--steps must be <= {STEP_CLAMP}")
-    return args.steps
+    return steps
 
 
 def _stepping(args: argparse.Namespace, state, step):
@@ -261,24 +262,31 @@ def cmd_construct(args: argparse.Namespace) -> Result:
         return rescale_to_area(new, area0) if args.rescale else new
 
     entries, means = [], None
-    for n, cur in enumerate(_stepping(args, tri, step)):
-        ang, area = angles_of(cur), cur.area()
-        a, b, g = ang.as_tuple()
-        if means is not None:
-            miss = max(abs(x - y) for x, y in zip((a, b, g), means))
-            _check_step(n, miss, "its angles miss the paper's map by %.3g rad")
-            if args.rescale:
-                _check_step(n, abs(area - area0) / area0, "its area misses the start area by %.3g of it")
-        means = (0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))  # the paper's map, on tuples
-        entries.append(
-            {
-                "step": n,
-                "vertices": [[p.x, p.y] for p in cur.vertices()],
-                "angles": [_display(x, args.degrees) for x in (a, b, g)],
-                "area": area,
-                "quality": quality(ang).q,
-            }
-        )
+    try:
+        for n, cur in enumerate(_stepping(args, tri, step)):
+            ang, area = angles_of(cur), cur.area()
+            a, b, g = ang.as_tuple()
+            if means is not None:
+                miss = max(abs(x - y) for x, y in zip((a, b, g), means))
+                _check_step(n, miss, "its angles miss the paper's map by %.3g rad")
+                if args.rescale:
+                    miss = abs(area - area0) / area0
+                    _check_step(n, miss, "its area misses the start area by %.3g of it")
+            means = (0.5 * (b + g), 0.5 * (a + g), 0.5 * (a + b))  # the paper's map, on tuples
+            entries.append(
+                {
+                    "step": n,
+                    "vertices": [[p.x, p.y] for p in cur.vertices()],
+                    "angles": [_display(x, args.degrees) for x in (a, b, g)],
+                    "area": area,
+                    "quality": quality(ang).q,
+                }
+            )
+    except CollinearTriangleError as exc:
+        if not entries:  # step 0 is the input: a flat one is bad input
+            raise
+        # a built step, flattened by rounding as it was built or rescaled
+        raise ArithmeticError(f"construct step {len(entries)} is lost to rounding: {exc}") from None
     written = []
     if args.svg is not None:
         vertices = [Point2(*xy) for e in entries for xy in e["vertices"]]
@@ -310,9 +318,7 @@ def _simple_mesh_source(args: argparse.Namespace) -> SimpleMeshAngles:
     if args.optimal:
         return optimal_mesh(args.n)
     if args.random is not None:
-        if args.random < 0:
-            raise ValueError("--random must be >= 0")
-        return random_mesh(args.n, args.random)
+        return random_mesh(args.n, _count(args.random, 0, "--random must be >= 0"))
     raise ValueError("--n needs --optimal or --random SEED")
 
 

@@ -22,6 +22,7 @@ from itertools import compress, starmap
 import numpy as np
 
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
+from .angle_dynamics import _count
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
 from .plane_geometry import _json_rows, _output
 
@@ -533,12 +534,8 @@ def analyze(
     transformation steps, per triangle.  The histogram covers (0, 1]
     with ``bins`` equal bins; counts always sum to the triangle count.
     """
-    steps = tuple(map(operator.index, predict_steps))
-    if any(s < 0 for s in steps):
-        raise ValueError("prediction steps must be >= 0")
-    bins = operator.index(bins)
-    if bins < 1:
-        raise ValueError("histogram needs at least one bin")
+    steps = tuple(_count(s, 0, "prediction steps must be >= 0") for s in predict_steps)
+    bins = _count(bins, 1, "histogram needs at least one bin")
     if bins > sys.maxsize // 16:  # 8-byte edges, with room to spare in numpy's size limit
         raise ValueError(f"histogram needs at most {sys.maxsize // 16} bins")
     if not len(mesh.faces):

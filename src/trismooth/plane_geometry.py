@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import stat
 import sys
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle_dynamics import AngleTriple, _field_setters, _nondegenerate, _setstate
+from .angle_dynamics import AngleTriple, _count, _field_setters, _nondegenerate, _setstate
 
 __all__ = [
     "Point2", "TrianglePoints", "GrowthFactor", "GrowthReport",
@@ -439,9 +438,7 @@ def edge_product_growth_check(
     GrowthReport
         Per-step records and cumulative log growth.
     """
-    steps = operator.index(steps)
-    if steps < 1:
-        raise ValueError("growth check requires steps >= 1")
+    steps = _count(steps, 1, "growth check requires steps >= 1")
     cur = rescale_to_area(tri, 1.0)
     records: list[GrowthStepRecord] = []
     log_cum: list[float] = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
@@ -23,6 +22,7 @@ from itertools import starmap
 import numpy as np
 
 from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
+from .angle_dynamics import _count
 from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, _output, block_rows
 
 __all__ = [
@@ -62,18 +62,13 @@ class CorrectionTerms:
     k_gamma: float
 
 
-def _fan_size(n) -> int:
-    """``n`` read as a fan's triangle count, through ``operator.index``: an
-    int, at least 3."""
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError(f"fan mesh needs at least 3 triangles, got {n}")
-    return n
+#: The error for a fan of fewer than 3 triangles, as a count or as angles.
+_FAN_SIZE = "fan mesh needs at least 3 triangles, got {n}"
 
 
 def correction_terms(n: int) -> CorrectionTerms:
     """Correction terms for an N-triangle fan; identically zero at N = 6."""
-    n = _fan_size(n)
+    n = _count(n, 3, _FAN_SIZE)
     k_alpha = PI * (6 - n) / (2 * n)
     k_beta = PI * (n - 6) / (4 * n)
     return CorrectionTerms(k_alpha, k_beta, k_beta)
@@ -100,9 +95,7 @@ class SimpleMeshAngles(_ArrayValue):
         rows = tuple(map(tuple, (self.alpha, self.beta, self.gamma)))
         n = len(rows[0])
         if n < 3:
-            raise MeshConstraintError(
-                f"fan mesh needs at least 3 triangles, got {n}"
-            )
+            raise MeshConstraintError(_FAN_SIZE.format(n=n))
         if len(rows[1]) != n or len(rows[2]) != n:
             raise MeshConstraintError("angle lists must have equal length")
         x = np.array(rows)
@@ -112,7 +105,7 @@ class SimpleMeshAngles(_ArrayValue):
         self._hold(x, _checked(x[None])[0])
 
     def _hold(self, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
-        """Keep (3, N) ``x`` and its ``_checked`` residuals; checked fans skip __post_init__."""
+        """Keep (3, N) ``x`` and its ``_checked`` residuals; ``_fan`` skips __post_init__."""
         alpha, beta, gamma = map(tuple, x.tolist())
         return _store(self, alpha=alpha, beta=beta, gamma=gamma, angles=x, _residuals=residuals)
 
@@ -185,6 +178,12 @@ def _checked(x: np.ndarray, transformed: bool = False) -> np.ndarray:
             f"triangle {i}: {_NAMES[j]} = {fan[i, j].item()!r} is not positive"
         )
     return res
+
+
+def _fan(x: np.ndarray, transformed: bool = False) -> SimpleMeshAngles:
+    """The fan of the (3, N) float array ``x``, checked by ``_checked`` and
+    kept as it is, without the constructor's reading of lists."""
+    return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, _checked(x[None], transformed)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +287,7 @@ def transform_mesh(m: SimpleMeshAngles) -> SimpleMeshAngles:
     fails loudly if any output angle is non-positive -- clamping would
     silently break the constraint identities.
     """
-    x = fan_step(m.angles, _k_rows(m.n_triangles))
-    residuals = _checked(x[None], transformed=True)[0]
-    return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, residuals)
+    return _fan(fan_step(m.angles, _k_rows(m.n_triangles)), transformed=True)
 
 
 #: mesh_steps: the most steps in one (B, 3, N) block.  Fans repeat within
@@ -315,8 +312,7 @@ def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshA
     and the last fan is state s or s - 1 by the parity of ``steps - s``,
     all with the bits stepping on would give.
     """
-    if steps < 0:
-        raise ValueError("step count must be >= 0")
+    steps = _count(steps, 0, "step count must be >= 0")
     n = m.n_triangles
     k, block = _k_rows(n), max(1, min(_STEP_BLOCK, FACE_BLOCK // n))
     rows = np.empty((steps + 1, 4))
@@ -344,7 +340,7 @@ def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshA
         buf[:2] = buf[b : b + 2]
     else:
         fan = x[-1].copy()
-    return rows, SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(fan, _residuals(fan[None])[0])
+    return rows, _fan(fan, transformed=True)
 
 
 def _quality_rows(x: np.ndarray, worst) -> np.ndarray:
@@ -361,14 +357,11 @@ def iterate_mesh(m: SimpleMeshAngles, steps: int) -> SimpleMeshAngles:
     per step, so every later angle lies between the positive fixed point
     and x_0 or x_1: checking step 1 for positivity covers the whole run.
     """
-    steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError("step count must be >= 0")
+    steps = _count(steps, 0, "step count must be >= 0")
     if steps == 0:
         return m
     transform_mesh(m)  # raises DegenerateMeshError if step 1 degenerates
-    fixed = optimal_mesh(m.n_triangles).angles
-    return SimpleMeshAngles(*after_steps(m.angles, fixed, steps).tolist())
+    return _fan(after_steps(m.angles, optimal_mesh(m.n_triangles).angles, steps))
 
 
 def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
@@ -379,7 +372,7 @@ def mesh_quality(m: SimpleMeshAngles) -> MeshQuality:
 
 def optimal_quality(n: int) -> float:
     """Per-triangle quality of the optimal N-fan: (N-2)/4 below 6, else 4/(N-2)."""
-    n = _fan_size(n)
+    n = _count(n, 3, _FAN_SIZE)
     if n < 6:
         return (n - 2) / 4.0
     return 4.0 / (n - 2)
@@ -387,7 +380,7 @@ def optimal_quality(n: int) -> float:
 
 def optimal_mesh(n: int) -> SimpleMeshAngles:
     """The fixed point: apex angles 2 pi / N, base angles (N-2) pi / (2N)."""
-    n = _fan_size(n)
+    n = _count(n, 3, _FAN_SIZE)
     apex = 2.0 * PI / n
     base = (n - 2) * PI / (2 * n)
     return SimpleMeshAngles((apex,) * n, (base,) * n, (base,) * n)
@@ -421,10 +414,9 @@ def random_mesh(n: int, rng: np.random.Generator | int) -> SimpleMeshAngles:
         x = np.stack((alpha, beta, PI - alpha - beta))
         if x.min() <= RANDOM_MIN_ANGLE:
             continue
-        residuals = _checked(x[None])[0]
-        if fan_step(x, k).min() <= RANDOM_MIN_ANGLE:
-            continue
-        return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, residuals)
+        fan = _fan(x)  # checked before the look-ahead step
+        if fan_step(x, k).min() > RANDOM_MIN_ANGLE:
+            return fan
     raise DegenerateMeshError(
         f"no valid random {n}-fan found in {RANDOM_MAX_TRIES} draws"
     )

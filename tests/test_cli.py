@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -1473,6 +1474,13 @@ CLASSIFIED_ERRORS = {
     "mesh_steps_negative": (
         lambda: mesh_steps(optimal_mesh(3), -1), ValueError, "step count must be >= 0"
     ),
+    "mesh_steps_text_steps": (
+        lambda: mesh_steps(optimal_mesh(3), "3"), TypeError,
+        "'str' object cannot be interpreted as an integer",
+    ),
+    "mesh_steps_whole_float_steps": (
+        lambda: mesh_steps(optimal_mesh(3), 2.0), TypeError, _NOT_AN_INT
+    ),
     "optimal_quality_two": (
         lambda: trismooth.optimal_quality(2), ValueError,
         "fan mesh needs at least 3 triangles, got 2",
@@ -1580,6 +1588,38 @@ def test_classified_error_messages(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert run(capsys, call) == (kind, "", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)  # nothing written
+
+
+#: Every call that takes a count, as a function of the count.
+COUNT_CALLS = {
+    "iterate": lambda k: trismooth.iterate(_RATE_TRIPLE, k),
+    "deviations_after": lambda k: trismooth.deviations_after(_RATE_TRIPLE, k),
+    "coefficients": trismooth.coefficients,
+    "coefficient_index": lambda k: trismooth.coefficients(5).a(k),
+    "iterate_closed_form": lambda k: trismooth.iterate_closed_form(_RATE_TRIPLE, k),
+    "predict_quality": lambda k: trismooth.predict_quality(_RATE_TRIPLE, k, alt_even=True),
+    "convergence_rate_check": lambda k: trismooth.convergence_rate_check(_RATE_TRIPLE, k),
+    "correction_terms": trismooth.correction_terms,
+    "optimal_quality": trismooth.optimal_quality,
+    "optimal_mesh": trismooth.optimal_mesh,
+    "random_mesh": lambda k: trismooth.random_mesh(k, 0),
+    "iterate_mesh": lambda k: trismooth.iterate_mesh(trismooth.random_mesh(5, 0), k),
+    "mesh_steps": lambda k: mesh_steps(trismooth.random_mesh(5, 0), k),
+    "edge_product_growth_check": lambda k: trismooth.edge_product_growth_check(
+        trismooth.TrianglePoints(*_TRIANGLE), k
+    ),
+    "analyze_predict_steps": lambda k: trismooth.analyze(
+        trismooth.MeshModel(_TRIANGLE, [(0, 1, 2)]), (k, 1)
+    ),
+    "analyze_bins": lambda k: trismooth.analyze(trismooth.MeshModel(_TRIANGLE, [(0, 1, 2)]), bins=k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_numpy_integer_counts_give_the_int_result(name):
+    # pickled, the results match to the bit and hold no numpy integer the int lacks
+    call = COUNT_CALLS[name]
+    assert pickle.dumps(call(np.int64(4))) == pickle.dumps(call(4))
 
 
 def test_rate_check_holds_until_the_deviation_underflows():

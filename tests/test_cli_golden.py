@@ -174,6 +174,13 @@ CASES = {
         "construct", "--points=1e17,0,100000000000000016,0,1e17,16", "--rescale", "--steps",
         "3",
     ],
+    # near 3.5e15 the coordinates lie on a grid of 0.5: step 1, rescaled, is flat
+    "exit4_construct_step_flattened": [
+        "construct",
+        "--points=3492555186035549.5,3492555186035550.0,3492555186035548.5,"
+        "3492555186035548.5,3492555186035550.5,3492555186035550.5",
+        "--steps", "3", "--rescale",
+    ],
     "exit4_degenerate_fan_step": [
         "simple-mesh", "--input", "adversarial.json", "--steps", "1",
     ],

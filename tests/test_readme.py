@@ -99,3 +99,38 @@ def test_every_public_name_imports_and_none_repeats():
     namespace = {}
     exec("from trismooth import *", namespace)  # an AttributeError for a name the package lacks
     assert namespace.keys() - {"__builtins__"} == set(joined)
+
+
+def call_sites(source: str, dotted: str) -> list[str]:
+    """Qualified names of the functions in ``source`` whose code reads the
+    attribute ``dotted`` (as ``name.attr``), one entry per read."""
+    owner, attr = dotted.split(".")
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            if isinstance(node.value, ast.Name) and node.value.id == owner:
+                sites.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_each_count_and_fan_rule_is_written_once():
+    """A count is read by ``_count`` only, and past its constructor a fan is
+    made by ``_fan`` only; ``MeshFormatError`` and ``MeshModel`` read a line
+    number and vertex indices, which are not counts."""
+    sources = sorted((Path(trismooth.__file__).parent).glob("*.py"))
+    index, new = [], []
+    for path in sources:
+        source = path.read_text(encoding="utf-8")
+        index += [f"{path.stem}.{site}" for site in call_sites(source, "operator.index")]
+        new += [f"{path.stem}.{site}" for site in call_sites(source, "SimpleMeshAngles.__new__")]
+    assert sorted(index) == [
+        "angle_dynamics._count", "mesh_io.MeshFormatError.__init__", "mesh_io.MeshModel.__init__"
+    ]
+    assert new == ["simple_mesh._fan"]

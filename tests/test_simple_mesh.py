@@ -527,9 +527,15 @@ def test_every_fan_constructor_holds_python_floats(tmp_path):
         load_mesh_angles(tmp_path / "m.json"),
         SimpleMeshAngles(*np.array([m.alpha, m.beta, m.gamma])),
     ]
+    big = random_mesh(200, 2)  # 400 apex and base angles: the array sums, not fsum
+    fans += [big, transform_mesh(big), iterate_mesh(big, 3), mesh_steps(big, 3)[1]]
     for fan in fans:
         for name in ("alpha", "beta", "gamma"):
             assert {type(v) for v in getattr(fan, name)} == {float}
+        # every builder keeps what the public constructor would, to the bit
+        built = SimpleMeshAngles(*fan.angles.tolist())
+        assert fan.angles.tobytes() == built.angles.tobytes()
+        assert fan.constraint_residuals().tobytes() == built.constraint_residuals().tobytes()
     assert "float64" not in repr(m)
     assert eval(repr(m), {"SimpleMeshAngles": SimpleMeshAngles}) == m
     assert not m.angles.flags.writeable
