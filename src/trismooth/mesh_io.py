@@ -24,7 +24,7 @@ import numpy as np
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .angle_dynamics import _count
 from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
-from .plane_geometry import _json_rows, _output
+from .plane_geometry import _field_rows, _json_rows, _output, _repr_field
 
 __all__ = [
     "MeshModel", "MeshFormatError", "DegenerateFace", "QualityReport", "ColorMap",
@@ -145,7 +145,11 @@ Block = tuple[list[str], Sequence[int]]
 def _significant_lines(path) -> Block:
     with open(path, "r", encoding="utf-8-sig") as fh:
         # text mode reads CR and CRLF as "\n": these are enumerate(fh)'s lines
-        lines = [line.partition("#")[0] for line in fh.read().split("\n")]
+        text = fh.read()
+    comments, lines = "#" in text, text.split("\n")
+    del text  # held only as its lines from here
+    if comments:
+        lines = [line.partition("#")[0] for line in lines]
     kept = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
     numbers = np.flatnonzero(kept) + 1
     if not len(numbers) or numbers[-1] == len(numbers):
@@ -417,12 +421,15 @@ class QualityReport(_ArrayValue):
     and ``predicted`` the closed-form quality after each of
     ``predict_steps`` (F, S), all read-only.  Face t's
     TriangleRecord is built from them when ``triangles[t]`` is indexed.
-    The JSON and CSV writers share one block loop: it ``repr``s the
-    angles, ``q`` and predictions of ``FACE_BLOCK`` faces at a time, each
-    value once, and fills each file's rows with those strings through
-    ``block_rows``.  So ``write`` with both paths formats every value once
-    for the two files, and holds one block of text at a time.  For the
-    finite floats a report holds, ``repr`` is the text ``json`` and ``csv`` write.
+    The JSON and CSV writers share one block loop: for ``FACE_BLOCK``
+    faces at a time it turns the face index, the angles, ``q`` and each
+    prediction column into a byte field of their ``repr`` text
+    (``_repr_field``, exact shortest digits in array passes), each value
+    once, and builds each file's rows from those fields as one byte matrix
+    (``_field_rows``).  So ``write`` with both paths formats every value
+    once for the two files, and holds one block of text at a time.  For
+    the finite floats a report holds, ``repr`` is the text ``json`` and
+    ``csv`` write.
     """
 
     predict_steps: tuple[int, ...]
@@ -473,17 +480,18 @@ class QualityReport(_ArrayValue):
     def _pieces(self, *layouts) -> Iterator[list[str]]:
         """Each layout's head, rows block by block, then tail: one list per
         step, a piece per layout.  A layout is (head, row template, row
-        separator, columns, tail); its rows are ``block_rows`` of ``columns``
-        of the block's table: the face index, then the ``repr`` of alpha,
-        beta, gamma, q and each prediction, made once and shared by every layout."""
+        separator, columns, tail); its rows are ``_field_rows`` of the
+        ``columns`` of the block's fields: the face index, then the ``repr``
+        text of alpha, beta, gamma, q and each prediction, made once by
+        ``_repr_field`` and shared by every layout."""
         yield [layout[0] for layout in layouts]
+        values = (*self.angles.T, self.q, *self.predicted.T)
         for start in range(0, len(self.q), FACE_BLOCK):
             rows = slice(start, start + FACE_BLOCK)
-            block = np.column_stack((self.angles[rows], self.q[rows], self.predicted[rows]))
-            text = np.array([*map(repr, block.ravel().tolist())], dtype=object).reshape(block.shape)
-            table = np.column_stack((np.arange(start, start + len(block)), text))
+            index = np.arange(start, start + len(self.q[rows]))
+            fields = [_repr_field(index), *(_repr_field(column[rows]) for column in values)]
             yield [
-                (sep if start else "") + "".join(block_rows(template, sep, table[:, columns]))
+                _field_rows(template, sep, [fields[c] for c in columns], start > 0)
                 for _, template, sep, columns, _ in layouts
             ]
         yield [layout[-1] for layout in layouts]

@@ -327,13 +327,14 @@ def float_bits(value):
     return value
 
 
-def check_output_writer(tmp_path, monkeypatch, write, rows_module, rows_kept, marker):
+def check_output_writer(tmp_path, monkeypatch, write, rows_module, rows_kept, marker, rows="block_rows"):
     """``write(path)`` leaves every file as ``open(path, "w")`` would, but
     written over in place: over a longer file it leaves a fresh write's bytes
     and keeps the inode, the mode and a second hard link; it writes a
     symlink's target, existing or not, and ``os.devnull``.  Failing the call
-    to ``rows_module.block_rows`` after ``rows_kept`` calls makes it raise,
-    leaving exactly the text written before: the fresh text up to ``marker``."""
+    to the row function ``rows_module.<rows>`` (``block_rows`` or
+    ``_field_rows``) after ``rows_kept`` calls makes it raise, leaving
+    exactly the text written before: the fresh text up to ``marker``."""
     fresh_path, by_w = tmp_path / "fresh.out", tmp_path / "by_w.out"
     write(fresh_path)
     open(by_w, "w").close()
@@ -360,15 +361,15 @@ def check_output_writer(tmp_path, monkeypatch, write, rows_module, rows_kept, ma
     write(os.devnull)
     assert not Path(os.devnull).is_file()
 
-    real, calls = rows_module.block_rows, []
+    real, calls = getattr(rows_module, rows), []
 
-    def rows(*args):
+    def failing(*args):
         if len(calls) == rows_kept:
             raise OSError(errno.ENOSPC, "No space left on device")
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rows_module, "block_rows", rows)
+    monkeypatch.setattr(rows_module, rows, failing)
     path.write_bytes(stale)
     with pytest.raises(OSError, match="No space left"):
         write(path)

@@ -18,9 +18,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trismooth
-from trismooth import cli
+from trismooth import cli, mesh_io
 from trismooth.angle_dynamics import STEP_CLAMP
-from trismooth.mesh_io import QualityReport
 from trismooth.simple_mesh import (
     correction_terms,
     load_mesh_angles,
@@ -886,19 +885,19 @@ def test_analyze_json_builds_no_text_lines(capsys, tmp_path, monkeypatch):
     mesh = tmp_path / "m.off"
     mesh.write_text(MINIMAL_OFF)
     templates = Counter()
-    rows, pieces = cli.block_rows, QualityReport._pieces
+    rows, fields = cli.block_rows, mesh_io._field_rows
 
     def counted(template, *args):
         templates["text" if template.startswith("  triangle") else "json"] += 1
         return rows(template, *args)
 
-    def counted_pieces(report, *layouts):
-        # the report files' block loop: a layout's row template is its second item
-        templates.update("json" if row.startswith("    {") else "csv" for _, row, *_ in layouts)
-        return pieces(report, *layouts)
+    def counted_fields(template, *args):
+        # the report's rows, one call per block and layout
+        templates["json" if template.startswith("    {") else "csv"] += 1
+        return fields(template, *args)
 
     monkeypatch.setattr(cli, "block_rows", counted)
-    monkeypatch.setattr(QualityReport, "_pieces", counted_pieces)
+    monkeypatch.setattr(mesh_io, "_field_rows", counted_fields)
     code, out, _ = run(capsys, ["analyze", str(mesh), "--steps", "1,2", "--json"])
     assert code == 0 and json.loads(out)["summary"]["count"] == 1
     assert templates == Counter({"json": 1})

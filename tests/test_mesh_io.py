@@ -214,6 +214,49 @@ def test_collinearity_agrees_with_scalar_test_near_threshold(tmp_path):
     assert 50 < sum(flat) < count - 50
 
 
+def test_longest_edge_is_the_largest_hypot_of_the_three(tmp_path, monkeypatch):
+    # measure_faces runs hypot only on the edges whose squares come within
+    # 2**-40 of their face's largest (all three when that square is near
+    # underflow): the longest edge the flatness and range tests read keeps
+    # the bits of the largest of all three hypots, ties and near-ties too
+    rng = np.random.default_rng(11)
+    count = 3000
+    corners = rng.normal(size=(count, 3, 2))
+    a, b = corners[:, 0], corners[:, 1]
+    turn = np.array([[0.5, SQRT3 / 2], [-SQRT3 / 2, 0.5]])  # a sixth of a turn
+    corners[:500, 2] = (a + b)[:500] / 2 + rng.normal(size=(500, 2))  # isosceles
+    corners[500:1000, 2] = a[500:1000] + (b - a)[500:1000] @ turn  # equilateral but for rounding
+    corners[1000:1500, 2, 0] += rng.choice([-1, 1], 500) * 2.0**-45  # near-ties past 2**-40
+    scale = 2.0 ** rng.integers(-505, 505, size=(count, 1, 1))  # squares from 1e-304 to 1e304
+    xy = (corners * scale).reshape(-1, 2)
+    faces = np.arange(3 * count).reshape(-1, 3)
+    recorded, hypots = [], Counter()
+    real_flat, real_mapped = plane_geometry._flat, plane_geometry._mapped
+
+    def flat(twice_area, longest_sq):
+        recorded.append(longest_sq)
+        return real_flat(twice_area, longest_sq)
+
+    def mapped(fn, x, *rest):
+        hypots[fn] += x.size
+        return real_mapped(fn, x, *rest)
+
+    monkeypatch.setattr(plane_geometry, "_flat", flat)
+    monkeypatch.setattr(plane_geometry, "_mapped", mapped)
+    plane_geometry.measure_faces(xy, faces)
+    longest = np.array([
+        max(math.hypot(*(p[(k + 1) % 3] - p[k]).tolist()) for k in range(3))
+        for p in xy.reshape(-1, 3, 2)
+    ])
+    assert np.concatenate(recorded).tobytes() == (longest * longest).tobytes()
+    assert count < hypots[math.hypot] < 2 * count  # not every edge
+
+    grid = load_mesh(write(tmp_path, "grid.off", jittered_grid_off(20, seed=0)))
+    hypots.clear()
+    plane_geometry.measure_faces(grid.xy, grid.faces)
+    assert hypots[math.hypot] < 1.1 * len(grid.faces)
+
+
 def test_mesh_overflow_names_the_face_like_the_scalar_test(tmp_path):
     text = "OFF\n4 2 0\n0 0\n1 0\n0 1\n1e200 0\n3 0 1 2\n3 0 3 2\n"
     with pytest.raises(OverflowError) as mesh_err:
@@ -518,6 +561,19 @@ def first_faces_off(text, count):
 BLOCK_GRID_OFF = jittered_grid_off(46, seed=7)  # 4232 faces
 
 
+def counted_fields(monkeypatch) -> Counter:
+    """Counts of the values the report writers format, by dtype kind: every
+    report value goes through ``mesh_io._repr_field``."""
+    calls, real = Counter(), mesh_io._repr_field
+
+    def counted(values):
+        calls[values.dtype.kind] += values.size
+        return real(values)
+
+    monkeypatch.setattr(mesh_io, "_repr_field", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "text, steps",
     [
@@ -536,16 +592,10 @@ def test_shared_block_loop_matches_reference_writers(tmp_path, capsys, monkeypat
     reference_write_json(report, tmp_path / "ref.json")
     reference_write_csv(report, tmp_path / "ref.csv")
     expected = {kind: (tmp_path / f"ref.{kind}").read_bytes() for kind in ("json", "csv")}
-    calls = Counter()
-
-    def counted_repr(value):
-        calls[type(value)] += 1
-        return repr(value)
-
-    # each float of the report is repr'd once for both files together
-    monkeypatch.setattr(mesh_io, "repr", counted_repr, raising=False)
+    calls = counted_fields(monkeypatch)
+    # each value of the report is formatted once for both files together
     report.write(tmp_path / "both.json", tmp_path / "both.csv")
-    assert calls == Counter({float: report.q.size * (4 + len(steps))})
+    assert calls == Counter({"f": report.q.size * (4 + len(steps)), "i": report.q.size})
     monkeypatch.undo()
     report.write_json(tmp_path / "alone.json")
     report.write_csv(tmp_path / "alone.csv")
@@ -562,26 +612,50 @@ def test_shared_block_loop_matches_reference_writers(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out.encode() == expected["json"]
 
 
+THIN_FACE_OFF = """OFF
+5 3 0
+0 0
+1 0
+0.5 1e-05
+0.5 1
+2 0.5
+3 0 1 2
+3 1 3 0
+3 1 4 3
+"""
+
+
+def test_report_values_outside_the_fixed_notation_range_keep_their_repr(tmp_path):
+    # a face 1e-5 high: angles near 2e-5 rad and q near 6e-6, which repr
+    # writes in scientific notation, beside values in fixed notation in the
+    # same block and column; the files are json.dump's and csv.writer's bytes
+    path = write(tmp_path, "m.off", THIN_FACE_OFF)
+    report = analyze(load_mesh(path), (0, 1, 3, 40))
+    assert report.angles.min() < 1e-4 and report.q.min() < 1e-4 < report.q.max()
+    assert "e-05" in repr(report.angles[0, 0]) and "e-06" in repr(report.q[0])
+    reference_write_json(report, tmp_path / "ref.json")
+    reference_write_csv(report, tmp_path / "ref.csv")
+    report.write(tmp_path / "r.json", tmp_path / "r.csv")
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_reports_format_only_what_is_written(tmp_path, capsys, monkeypatch):
     # analyze without --report or --csv makes no report pass of its own: its
-    # text lines take no repr, and --json reprs each float once, for stdout
+    # text lines format no report field, and --json formats each value once,
+    # for stdout
     path = write(tmp_path, "m.off", DROPPED_FACE_OFF)
     report = analyze(load_mesh(path), (1, 2))
-    calls = Counter()
-
-    def counted_repr(value):
-        calls[type(value)] += 1
-        return repr(value)
 
     def refuse(*args):
         raise AssertionError("the JSON layout was built for a file not written")
 
-    monkeypatch.setattr(mesh_io, "repr", counted_repr, raising=False)
+    calls = counted_fields(monkeypatch)
     report.write()
     assert cli.main(["analyze", str(path), "--steps", "1,2"]) == 0
     assert calls == Counter()
     assert cli.main(["analyze", str(path), "--steps", "1,2", "--json"]) == 0
-    assert calls == Counter({float: report.q.size * 6})
+    assert calls == Counter({"f": report.q.size * 6, "i": report.q.size})
     capsys.readouterr()
     monkeypatch.setattr(mesh_io.QualityReport, "_json_layout", refuse)
     report.write(csv_path=tmp_path / "r.csv")
@@ -865,7 +939,9 @@ def test_writers_write_over_in_place_and_cut_to_length(tmp_path, monkeypatch, na
         "report csv": lambda path: report.write(csv_path=path),
         "render_svg": lambda path: render_svg(mesh, path),
     }[name]
-    check_output_writer(tmp_path, monkeypatch, writer, mesh_io, rows_kept, marker)
+    # the report's rows come from byte fields, the other writers' from % templates
+    rows = "_field_rows" if name.startswith("report") else "block_rows"
+    check_output_writer(tmp_path, monkeypatch, writer, mesh_io, rows_kept, marker, rows)
 
 
 # --- memory ------------------------------------------------------------------------
