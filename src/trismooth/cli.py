@@ -23,6 +23,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from ._text import FACE_BLOCK, _distinct_text, _json_rows, _output, _read_json, block_rows
 from .angle_dynamics import (
     STEP_CLAMP,
     THIRD_PI,
@@ -41,22 +42,16 @@ from .mesh_io import (
     render_svg,
 )
 from .plane_geometry import (
-    FACE_BLOCK,
     CollinearTriangleError,
     Point2,
     TrianglePoints,
-    _distinct_text,
-    _json_rows,
-    _output,
     angles_of,
-    block_rows,
     construct_transformed,
     growth_factor,
     rescale_to_area,
 )
 from .simple_mesh import (
     SimpleMeshAngles,
-    _read_json,
     _write_fan,
     correction_terms,
     load_mesh_angles,

@@ -21,10 +21,10 @@ from itertools import compress, starmap
 
 import numpy as np
 
+from ._text import FACE_BLOCK, _field_rows, _json_rows, _output, _repr_field, block_rows
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .angle_dynamics import _count
-from .plane_geometry import FACE_BLOCK, Point2, TrianglePoints, block_rows, measure_faces
-from .plane_geometry import _field_rows, _json_rows, _output, _repr_field
+from .plane_geometry import Point2, TrianglePoints, measure_faces
 
 __all__ = [
     "MeshModel", "MeshFormatError", "DegenerateFace", "QualityReport", "ColorMap",
@@ -421,15 +421,7 @@ class QualityReport(_ArrayValue):
     and ``predicted`` the closed-form quality after each of
     ``predict_steps`` (F, S), all read-only.  Face t's
     TriangleRecord is built from them when ``triangles[t]`` is indexed.
-    The JSON and CSV writers share one block loop: for ``FACE_BLOCK``
-    faces at a time it turns the face index, the angles, ``q`` and each
-    prediction column into a byte field of their ``repr`` text
-    (``_repr_field``, exact shortest digits in array passes), each value
-    once, and builds each file's rows from those fields as one byte matrix
-    (``_field_rows``).  So ``write`` with both paths formats every value
-    once for the two files, and holds one block of text at a time.  For
-    the finite floats a report holds, ``repr`` is the text ``json`` and
-    ``csv`` write.
+    The JSON and CSV writers share one block loop (``_pieces``).
     """
 
     predict_steps: tuple[int, ...]
@@ -483,7 +475,8 @@ class QualityReport(_ArrayValue):
         separator, columns, tail); its rows are ``_field_rows`` of the
         ``columns`` of the block's fields: the face index, then the ``repr``
         text of alpha, beta, gamma, q and each prediction, made once by
-        ``_repr_field`` and shared by every layout."""
+        ``_repr_field`` and shared by every layout.  For the finite floats
+        a report holds, ``repr`` is the text ``json`` and ``csv`` write."""
         yield [layout[0] for layout in layouts]
         values = (*self.angles.T, self.q, *self.predicted.T)
         for start in range(0, len(self.q), FACE_BLOCK):

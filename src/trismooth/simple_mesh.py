@@ -12,18 +12,18 @@ by adding N-dependent constant terms to the plain pairwise means.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 from itertools import starmap
 
 import numpy as np
 
+from . import _text
+from ._text import FACE_BLOCK, _distinct_text, _json_rows, _output, block_rows
 from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
 from .angle_dynamics import _count
-from .plane_geometry import FACE_BLOCK, Point2, _distinct_text, _json_rows, _mapped, _output, block_rows
+from .plane_geometry import Point2, _mapped
 
 __all__ = [
     "SimpleMeshAngles", "SimpleMeshGeometry", "CorrectionTerms", "ClosureResidual",
@@ -499,26 +499,9 @@ def mesh_from_dict(data: dict) -> SimpleMeshAngles:
     return SimpleMeshAngles(*rows)
 
 
-def _read_json(path):
-    """The JSON document in ``path`` (UTF-8, with or without a byte-order
-    mark).  Nesting too deep for the decoder, and an integer longer than
-    ``int``'s digit limit, are JSONDecodeErrors as well."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("document nested too deeply", text, 0) from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # the only other ValueError json raises
-        limit = sys.get_int_max_str_digits()
-        raise json.JSONDecodeError(f"integer over {limit} digits", text, 0) from None
-
-
 def load_mesh_angles(path) -> SimpleMeshAngles:
     """Read and validate a fan mesh from its JSON interchange file."""
-    return mesh_from_dict(_read_json(path))
+    return mesh_from_dict(_text._read_json(path))
 
 
 def mesh_json_chunks(m: SimpleMeshAngles) -> Iterator[str]:

@@ -297,6 +297,26 @@ def test_construct_rescale_off_its_area_is_numeric_error(capsys, monkeypatch):
     assert err == "error: construct step 1 is lost to rounding: its area misses the start area by 1e-06 of it\n"
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    units=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    exponent=st.integers(-320, 308),
+    steps=st.sampled_from([0, 1, 3, 20, 600]),
+    rescale=st.booleans(),
+)
+def test_construct_at_any_scale_is_an_answer_or_one_error_line(capsys, units, exponent, steps, rescale):
+    # a triangle scaled from subnormal to near overflow, stepped far: each run
+    # ends in a result, bad input (2) or a numeric error (4), never a traceback
+    points = ",".join(repr(u * 10.0**exponent) for u in units)
+    argv = ["construct", "--points=" + points, "--steps", str(steps), "--json"]
+    code, out, err = run(capsys, argv + ["--rescale"] * rescale)
+    assert code in (0, 2, 4), (code, err)
+    if code:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == "" and len(json.loads(out)["steps"]) == steps + 1
+
+
 # --- simple-mesh ----------------------------------------------------------------
 
 def test_simple_mesh_random_reaches_optimal(capsys):

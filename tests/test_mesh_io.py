@@ -18,6 +18,7 @@ from trismooth import (
     MeshModel,
     Point2,
     TrianglePoints,
+    _text,
     analyze,
     angles_of,
     cli,
@@ -580,9 +581,9 @@ def counted_fields(monkeypatch) -> Counter:
         (jittered_grid_off(8, seed=2), (2, 2, 0)),
         (jittered_grid_off(8, seed=2), ()),
         (DROPPED_FACE_OFF, (1,)),
-        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK - 1), (1, 2)),
-        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK), (1, 2)),
-        (first_faces_off(BLOCK_GRID_OFF, plane_geometry.FACE_BLOCK + 1), (1, 2)),
+        (first_faces_off(BLOCK_GRID_OFF, _text.FACE_BLOCK - 1), (1, 2)),
+        (first_faces_off(BLOCK_GRID_OFF, _text.FACE_BLOCK), (1, 2)),
+        (first_faces_off(BLOCK_GRID_OFF, _text.FACE_BLOCK + 1), (1, 2)),
     ],
     ids=["duplicate-and-zero-steps", "no-steps", "dropped-face", "block-1", "block", "block+1"],
 )
@@ -869,7 +870,7 @@ def reference_render_svg(mesh, path, colormap=None):
         f'width="{fmt(800.0)}" height="{fmt(height)}" '
         f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
     ]
-    corner = "".join(plane_geometry.block_rows("%.9g,%.9g", "\n", pts)).split("\n")
+    corner = "".join(_text.block_rows("%.9g,%.9g", "\n", pts)).split("\n")
     stroke = f'stroke="#262626" stroke-width="{fmt(0.002 * span)}"/>'
     _, q = mesh_io._repaired_quality(mesh.angles)
     lines += [
@@ -901,7 +902,7 @@ def test_render_svg_matches_joined_reference(tmp_path, text, spec):
     svg = (tmp_path / "block.svg").read_bytes()
     assert svg == (tmp_path / "joined.svg").read_bytes()
     if len(mesh.faces):
-        assert len(mesh.faces) > 2 * plane_geometry.FACE_BLOCK
+        assert len(mesh.faces) > 2 * _text.FACE_BLOCK
         assert svg.count(b"<polygon") == len(mesh.faces)
     else:
         assert svg.endswith(b'">\n</svg>\n') and svg.count(b"\n") == 3

@@ -38,7 +38,7 @@ from trismooth import (
 )
 from trismooth import cli, simple_mesh
 from trismooth.angle_dynamics import STEP_CLAMP
-from trismooth.plane_geometry import FACE_BLOCK, _distinct_text
+from trismooth._text import FACE_BLOCK
 from trismooth.simple_mesh import mesh_from_dict, mesh_steps
 
 from conftest import check_output_writer, closing_mesh, mesh_to_dict
@@ -235,14 +235,6 @@ def test_row_sums_at_the_edges():
     blocks = (near_subnormal, huge, past_bound, full, np.empty((0, 5)), np.empty((3, 0)))
     for v in blocks + (np.array([[5e-324, 1.0]]),):
         assert simple_mesh._row_sums(v).tolist() == [math.fsum(row) for row in v.tolist()]
-
-
-def test_distinct_text_is_each_values_repr():
-    values = np.array([[0.1, 0.0, 0.1], [3.0, 1e-300, 0.30000000000000004]])
-    text = _distinct_text(values)
-    assert text.shape == values.shape and text.dtype == object
-    assert text.tolist() == [[repr(v) for v in row] for row in values.tolist()]
-    assert _distinct_text(np.empty((0, 4))).shape == (0, 4)
 
 
 def test_transform_mesh_fixed_points():
