@@ -13,19 +13,24 @@ from contextlib import contextmanager
 import numpy as np
 
 
-#: Faces per block in the array passes (measure_faces, the report writers):
-#: small temporaries, reused block to block, keep their memory flat however
-#: many faces there are.
+#: Faces or lines per block of ``blocks``: small temporaries, reused block to
+#: block, keep the array passes' memory flat however many faces there are.
 FACE_BLOCK = 4096
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """The ``FACE_BLOCK``-long slices of ``range(n)`` that every block pass takes."""
+    for start in range(0, n, FACE_BLOCK):
+        yield slice(start, min(start + FACE_BLOCK, n))
 
 
 def block_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
     """``table``'s rows through the ``%`` ``template``, joined by ``sep``: one
-    string per ``FACE_BLOCK`` rows, each block after the first led by ``sep``."""
-    for start in range(0, len(table), FACE_BLOCK):
-        block = table[start : start + FACE_BLOCK]
+    string per block of ``blocks``, each block after the first led by ``sep``."""
+    for rows in blocks(len(table)):
+        block = table[rows]
         text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
-        yield sep + text if start else text
+        yield sep + text if rows.start else text
 
 
 # The tables of _repr_field: 10**s (exact doubles for s <= 22) with their

@@ -124,23 +124,13 @@ def _store(value, **named):
 class _ArrayValue:
     """Base of the frozen dataclasses that hold numpy arrays: their fields are
     set, by a generated ``__init__`` too, and unpickled through ``_store``, so
-    every array is read-only, a caller's own included, and ``_views`` maps
-    names to builders of object views, built on first read."""
+    every array is read-only, a caller's own included.  An object view of an
+    array is a ``functools.cached_property`` field, built on first read."""
 
-    _views: dict = {}
     __setstate__ = _setstate
 
     def __post_init__(self) -> None:
         _store(self, **{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def __getattr__(self, name: str):
-        # called only for what the instance lacks: build a view once and keep it
-        build = type(self)._views.get(name)
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = build(self)
-        _store(self, **{name: view})
-        return view
 
 
 _set_alpha, _set_beta, _set_gamma = _field_setters(AngleTriple)

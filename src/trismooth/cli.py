@@ -23,7 +23,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ._text import FACE_BLOCK, _distinct_text, _json_rows, _output, _read_json, block_rows
+from ._text import _distinct_text, _json_rows, _output, _read_json, block_rows, blocks
 from .angle_dynamics import (
     STEP_CLAMP,
     THIRD_PI,
@@ -418,9 +418,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
             lines.append(f"excluded {len(report.dropped)} degenerate face(s)")
         template = "  triangle %d: q=%.6f"
         template += "".join(f" q{n}=%.6f" for n in report.predict_steps)
-        for start in range(0, len(report.q), FACE_BLOCK):  # one printed string per block
-            rows = slice(start, start + FACE_BLOCK)
-            index = np.arange(start, start + len(report.q[rows]))
+        for rows in blocks(len(report.q)):  # one printed string per block
+            index = np.arange(rows.start, rows.stop)
             table = np.column_stack((index, report.q[rows], report.predicted[rows]))
             lines += block_rows(template, "\n", table)
         return lines + written

@@ -17,11 +17,12 @@ import sys
 from collections.abc import Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, starmap
 
 import numpy as np
 
-from ._text import FACE_BLOCK, _field_rows, _json_rows, _output, _repr_field, block_rows
+from ._text import _field_rows, _json_rows, _output, _repr_field, block_rows, blocks
 from .angle_dynamics import AngleTriple, _ArrayValue, _predicted_quality, _repaired_quality, _store
 from .angle_dynamics import _count
 from .plane_geometry import Point2, TrianglePoints, measure_faces
@@ -75,14 +76,16 @@ class MeshModel(_ArrayValue):
     ``angles``, the (F, 3) inner angles (alpha, beta, gamma per triangle,
     before AngleTriple's sum repair) that ``analyze`` and ``render_svg``
     read.  ``vertices`` (Point2s) and ``triangles`` (index tuples) are
-    read-only views of ``xy`` and ``faces``, built when first read; the
-    dataclass's equality, hashing and ``repr`` go through them.  Each
+    ``cached_property`` views of ``xy`` and ``faces``, built when first read;
+    the dataclass's equality, hashing and ``repr`` go through them.  Each
     triangle given must be three integers (``operator.index`` reads them):
     anything else is a ValueError that names the triangle.
     """
 
-    vertices: tuple[Point2, ...]
-    triangles: tuple[tuple[int, int, int], ...]
+    vertices: tuple[Point2, ...] = cached_property(lambda m: tuple(starmap(Point2, m.xy.tolist())))
+    triangles: tuple[tuple[int, int, int], ...] = cached_property(
+        lambda m: tuple(map(tuple, m.faces.tolist()))
+    )
     dropped: tuple[DegenerateFace, ...]
     xy: np.ndarray = field(repr=False, compare=False)
     faces: np.ndarray = field(repr=False, compare=False)
@@ -119,11 +122,6 @@ class MeshModel(_ArrayValue):
         if len(xy) < 3:
             raise ValueError(f"mesh needs at least 3 vertices, got {len(xy)}")
         return _store(self, xy=xy, faces=faces, angles=angles, dropped=dropped)
-
-    _views = {
-        "vertices": lambda m: tuple(starmap(Point2, m.xy.tolist())),
-        "triangles": lambda m: tuple(map(tuple, m.faces.tolist())),
-    }
 
     def triangle_points(self, t: int) -> TrianglePoints:
         i, j, k = self.triangles[t]
@@ -300,20 +298,14 @@ def _first_bad_line(parse, block: Block) -> MeshFormatError | None:
     return None
 
 
-def _split(lines: list[str]) -> Iterator[list[str]]:
-    """``lines`` in blocks of ``FACE_BLOCK``; one empty block when there are none."""
-    for start in range(0, len(lines) or 1, FACE_BLOCK):
-        yield lines[start : start + FACE_BLOCK]
-
-
 def _parse(path, read, parse_faces) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
     """The (V, 2) vertices and (F, 3) vertex indices of the file, and its
-    face lines' numbers.  Each parser runs over ``FACE_BLOCK`` lines at a
-    time; the line text lives in this frame only."""
+    face lines' numbers.  Each parser runs over one block of lines at a time
+    (one empty block when a kind has none); the line text lives in this frame only."""
     vertices, faces = read(*_significant_lines(path))
     try:
-        coords = [_coordinates(part) for part in _split(vertices[0])]
-        indices = [parse_faces(part) for part in _split(faces[0])]
+        coords = [_coordinates(vertices[0][part]) for part in blocks(len(vertices[0]) or 1)]
+        indices = [parse_faces(faces[0][part]) for part in blocks(len(faces[0]) or 1)]
     except MeshFormatError:
         named = [_first_bad_line(_coordinates, vertices), _first_bad_line(parse_faces, faces)]
         raise min(filter(None, named), key=lambda e: e.line) from None
@@ -479,12 +471,11 @@ class QualityReport(_ArrayValue):
         a report holds, ``repr`` is the text ``json`` and ``csv`` write."""
         yield [layout[0] for layout in layouts]
         values = (*self.angles.T, self.q, *self.predicted.T)
-        for start in range(0, len(self.q), FACE_BLOCK):
-            rows = slice(start, start + FACE_BLOCK)
-            index = np.arange(start, start + len(self.q[rows]))
+        for rows in blocks(len(self.q)):
+            index = np.arange(rows.start, rows.stop)
             fields = [_repr_field(index), *(_repr_field(column[rows]) for column in values)]
             yield [
-                _field_rows(template, sep, [fields[c] for c in columns], start > 0)
+                _field_rows(template, sep, [fields[c] for c in columns], rows.start > 0)
                 for _, template, sep, columns, _ in layouts
             ]
         yield [layout[-1] for layout in layouts]
@@ -679,8 +670,7 @@ def render_svg(mesh: MeshModel, path, colormap: ColorMap | None = None) -> None:
     )
     with _output(path, "\n") as fh:
         fh.write(header)
-        for start in range(0, len(mesh.faces), FACE_BLOCK):
-            rows = slice(start, start + FACE_BLOCK)
+        for rows in blocks(len(mesh.faces)):
             _, q = _repaired_quality(mesh.angles[rows])
             fills = np.array(cmap.colors(q), dtype=object)
             table = np.column_stack((corner[mesh.faces[rows]], fills))

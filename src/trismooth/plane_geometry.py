@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import FACE_BLOCK
+from ._text import blocks
 from .angle_dynamics import AngleTriple, _count, _field_setters, _nondegenerate, _setstate
 
 __all__ = [
@@ -202,8 +202,7 @@ def measure_faces(xy: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     Raises as ``is_collinear`` does, for the first face out of float range.
     """
     flat, angles = np.empty(len(faces), dtype=bool), np.empty((len(faces), 3))
-    for start in range(0, len(faces), FACE_BLOCK):
-        block = slice(start, start + FACE_BLOCK)
+    for block in blocks(len(faces)):
         flat[block], angles[block] = _measure_block(xy, faces[block])
     return flat, angles
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from itertools import starmap
 
 import numpy as np
 
 from . import _text
-from ._text import FACE_BLOCK, _distinct_text, _json_rows, _output, block_rows
+from ._text import _distinct_text, _json_rows, _output, block_rows
 from .angle_dynamics import PI, QualityValue, _ArrayValue, _store, after_steps, angle_ratio
 from .angle_dynamics import _count
 from .plane_geometry import Point2, _mapped
@@ -74,25 +75,25 @@ def correction_terms(n: int) -> CorrectionTerms:
     return CorrectionTerms(k_alpha, k_beta, k_beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimpleMeshAngles(_ArrayValue):
     """Angle-space state of an N-triangle fan mesh.
 
     Invariants, enforced on construction within ``CONSTRAINT_TOL``:
     every triangle's angles sum to pi, the apex angles sum to 2 pi, the
     beta angles sum to (N - 2) pi / 2, and every angle is strictly
-    positive.  ``angles`` is the same fan as one read-only (3, N) array,
-    rows alpha, beta, gamma; the tuples hold Python floats.
+    positive.  ``angles`` is the fan as one read-only (3, N) array; its rows ``alpha``, ``beta``
+    and ``gamma`` are ``cached_property`` views, tuples of Python floats built when first read.
     """
 
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
+    alpha: tuple[float, ...] = cached_property(lambda m: tuple(m.angles[0].tolist()))
+    beta: tuple[float, ...] = cached_property(lambda m: tuple(m.angles[1].tolist()))
+    gamma: tuple[float, ...] = cached_property(lambda m: tuple(m.angles[2].tolist()))
     angles: np.ndarray = field(init=False, repr=False, compare=False)
     _residuals: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, (self.alpha, self.beta, self.gamma)))
+    def __init__(self, alpha: tuple[float, ...], beta: tuple[float, ...], gamma: tuple[float, ...]):
+        rows = tuple(map(tuple, (alpha, beta, gamma)))
         n = len(rows[0])
         if n < 3:
             raise MeshConstraintError(_FAN_SIZE.format(n=n))
@@ -102,16 +103,11 @@ class SimpleMeshAngles(_ArrayValue):
         if x.dtype.kind not in "biuf":
             raise MeshConstraintError("angles must be numbers")
         x = x.astype(float)
-        self._hold(x, _checked(x[None])[0])
-
-    def _hold(self, x: np.ndarray, residuals: np.ndarray) -> SimpleMeshAngles:
-        """Keep (3, N) ``x`` and its ``_checked`` residuals; ``_fan`` skips __post_init__."""
-        alpha, beta, gamma = map(tuple, x.tolist())
-        return _store(self, alpha=alpha, beta=beta, gamma=gamma, angles=x, _residuals=residuals)
+        _store(self, angles=x, _residuals=_checked(x[None])[0])
 
     @property
     def n_triangles(self) -> int:
-        return len(self.alpha)
+        return self.angles.shape[1]
 
     def constraint_residuals(self) -> np.ndarray:
         """Read-only (3,) worst triangle-, apex- and base-sum residuals, measured once."""
@@ -183,7 +179,8 @@ def _checked(x: np.ndarray, transformed: bool = False) -> np.ndarray:
 def _fan(x: np.ndarray, transformed: bool = False) -> SimpleMeshAngles:
     """The fan of the (3, N) float array ``x``, checked by ``_checked`` and
     kept as it is, without the constructor's reading of lists."""
-    return SimpleMeshAngles.__new__(SimpleMeshAngles)._hold(x, _checked(x[None], transformed)[0])
+    fan = SimpleMeshAngles.__new__(SimpleMeshAngles)
+    return _store(fan, angles=x, _residuals=_checked(x[None], transformed)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +214,13 @@ class SimpleMeshGeometry(_ArrayValue):
     """Coordinates of a fan mesh: interior vertex plus ordered boundary.
 
     ``xy`` holds them as one read-only (N + 1, 2) array, the interior vertex
-    first; ``inner_vertex`` and ``boundary`` are Point2 views of it, built
-    when first read, as MeshModel's are.  The areas are measured once."""
+    first; ``inner_vertex`` and ``boundary`` are ``cached_property`` Point2
+    views of it, built when first read.  The areas are measured once."""
 
-    inner_vertex: Point2
-    boundary: tuple[Point2, ...]
+    inner_vertex: Point2 = cached_property(lambda g: Point2(*g.xy[0].tolist()))
+    boundary: tuple[Point2, ...] = cached_property(
+        lambda g: tuple(starmap(Point2, g.xy[1:].tolist()))
+    )
     xy: np.ndarray = field(init=False, repr=False, compare=False)
     _areas: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -246,11 +245,6 @@ class SimpleMeshGeometry(_ArrayValue):
                 f"fan triangle {int(flat.argmax())} is degenerate or flipped"
             )
         return _store(self, xy=xy, _areas=areas)
-
-    _views = {
-        "inner_vertex": lambda g: Point2(*g.xy[0].tolist()),
-        "boundary": lambda g: tuple(starmap(Point2, g.xy[1:].tolist())),
-    }
 
     def total_area(self) -> float:
         return math.fsum((0.5 * np.abs(self._areas)).tolist())
@@ -314,7 +308,7 @@ def mesh_steps(m: SimpleMeshAngles, steps: int) -> tuple[np.ndarray, SimpleMeshA
     """
     steps = _count(steps, 0, "step count must be >= 0")
     n = m.n_triangles
-    k, block = _k_rows(n), max(1, min(_STEP_BLOCK, FACE_BLOCK // n))
+    k, block = _k_rows(n), max(1, min(_STEP_BLOCK, _text.FACE_BLOCK // n))
     rows = np.empty((steps + 1, 4))
     rows[0] = _quality_rows(m.angles[None], [m.constraint_residuals().max()])
     if not steps:
@@ -438,9 +432,9 @@ def reconstruct_geometry(
     """
     if not (first_radius > 0.0) or not math.isfinite(first_radius):
         raise ValueError(f"first radius must be positive, got {first_radius!r}")
-    turn = math.fsum(m.alpha)
-    scale = 2.0 * PI / turn
     alpha, beta, gamma = m.angles
+    turn = math.fsum(alpha.tolist())
+    scale = 2.0 * PI / turn
     # accumulate runs left to right: each value gets a running loop's operations
     theta = np.add.accumulate(np.concatenate(([0.0], alpha[:-1] * scale)))
     with np.errstate(over="ignore", invalid="ignore"):

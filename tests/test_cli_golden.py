@@ -11,17 +11,19 @@ and review the diff.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trismooth import cli
+from trismooth import MeshModel, SimpleMeshAngles, SimpleMeshGeometry, _text, cli, random_mesh
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 PI = math.pi
@@ -263,6 +265,51 @@ def test_json_cases_build_no_text(golden, tmp_path, monkeypatch):
         directory.mkdir()
         got = run_case(CASES[name], directory)
         assert got == {key: golden[name][key] for key in got}, name
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_every_case_matches_golden_at_small_block_sizes(golden, tmp_path, monkeypatch, block):
+    # every block pass cuts its faces or lines with _text.blocks: blocks of 1 to 3
+    # put a seam between every few faces and lines, and no seam shows in any output
+    monkeypatch.setattr(_text, "FACE_BLOCK", block)
+    for name in sorted(CASES):
+        directory = tmp_path / name
+        directory.mkdir()
+        got = run_case(CASES[name], directory)
+        assert got == {key: golden[name][key] for key in got}, name
+
+
+#: The object views of the values held as arrays, each a cached_property.
+VIEWS = {
+    MeshModel: ("vertices", "triangles"),
+    SimpleMeshGeometry: ("inner_vertex", "boundary"),
+    SimpleMeshAngles: ("alpha", "beta", "gamma"),
+}
+
+
+def test_no_case_builds_an_object_view(golden, tmp_path, monkeypatch):
+    # the commands read the arrays only: a view is built when a caller reads it
+    built = Counter()
+    for cls, names in VIEWS.items():
+        for name in names:
+            view = vars(cls)[name]
+            assert isinstance(view, functools.cached_property), (cls, name)
+
+            def counted(value, _build=view.func, _name=f"{cls.__name__}.{name}"):
+                built[_name] += 1
+                return _build(value)
+
+            wrapped = functools.cached_property(counted)
+            wrapped.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, wrapped)
+    for name in sorted(CASES):
+        directory = tmp_path / name
+        directory.mkdir()
+        got = run_case(CASES[name], directory)
+        assert got == {key: golden[name][key] for key in got}, name
+    assert built == Counter()
+    fan = random_mesh(5, 1)
+    assert fan.alpha is fan.alpha and built == Counter({"SimpleMeshAngles.alpha": 1})
 
 
 def regenerate() -> None:

@@ -1301,7 +1301,7 @@ def test_bulk_readers_match_per_line_readers(tmp_path):
 def test_bulk_readers_match_per_line_readers_in_small_blocks(tmp_path, monkeypatch):
     # no fuzz stream has more than 7 vertex or face lines; in blocks of 2,
     # 186 of the 500 are parsed across blocks, and a block can still mix 2D and 3D
-    monkeypatch.setattr(mesh_io, "FACE_BLOCK", 2)
+    monkeypatch.setattr(_text, "FACE_BLOCK", 2)
     assert_bulk_readers_match_per_line_readers(tmp_path)
 
 

@@ -134,3 +134,43 @@ def test_each_count_and_fan_rule_is_written_once():
         "angle_dynamics._count", "mesh_io.MeshFormatError.__init__", "mesh_io.MeshModel.__init__"
     ]
     assert new == ["simple_mesh._fan"]
+
+
+def name_sites(source: str, name: str) -> list[str]:
+    """Qualified scopes in ``source`` (the module's own as "") that bind or
+    read ``name``: as a bare name, an attribute, an imported name, or the
+    name of a def or class, one entry per use."""
+    sites = []
+
+    def visit(node, scope):
+        used = (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and (node.asname or node.name) == name
+            or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        )
+        if used:
+            sites.append(".".join(scope))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_blocks_and_views_each_have_one_owner():
+    """Only ``_text`` binds ``FACE_BLOCK``, and only ``_text.blocks`` and
+    ``mesh_steps`` (whose step blocks are sized from it) read it; no module
+    builds attributes in a ``__getattr__`` hook."""
+    sites = {}
+    for path in sorted((Path(trismooth.__file__).parent).glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("FACE_BLOCK", "__getattr__", "_views", "_hold"):
+            sites.setdefault(name, [])
+            sites[name] += [f"{path.stem}:{site}" for site in name_sites(source, name)]
+    assert sorted(sites.pop("FACE_BLOCK")) == [
+        "_text:", "_text:blocks", "_text:blocks", "simple_mesh:mesh_steps"
+    ]
+    assert sites == {"__getattr__": [], "_views": [], "_hold": []}

@@ -490,13 +490,19 @@ def test_mesh_steps_raise_for_the_first_failing_step(monkeypatch):
 
 def test_simple_mesh_builds_two_fans_and_no_per_triangle_objects(monkeypatch, capsys):
     made = Counter()
-    # every SimpleMeshAngles, checked by its constructor or not, is set up by _hold
-    for cls, name in ((SimpleMeshAngles, "_hold"), (QualityValue, "__init__"), (AngleTriple, "__init__")):
-        def counted(*args, _inner=getattr(cls, name), _name=cls.__name__, **kwargs):
+    # every SimpleMeshAngles is made by its constructor or, checked past it, by _fan
+    hooks = {
+        (SimpleMeshAngles, "__init__"): "SimpleMeshAngles",
+        (simple_mesh, "_fan"): "SimpleMeshAngles",
+        (QualityValue, "__init__"): "QualityValue",
+        (AngleTriple, "__init__"): "AngleTriple",
+    }
+    for (owner, name), made_name in hooks.items():
+        def counted(*args, _inner=getattr(owner, name), _name=made_name, **kwargs):
             made[_name] += 1
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     argv = ["simple-mesh", "--n", "40", "--random", "1", "--steps", "200"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 202 + 1

@@ -292,3 +292,30 @@ def test_copies_and_unpickled_values_hold_read_only_arrays(tmp_path):
             assert_arrays_read_only(twin, how)
             for name in ARRAYS[type(value)]:
                 assert np.array_equal(getattr(twin, name), getattr(value, name)), (how, name)
+
+
+def test_a_fan_holds_its_arrays_and_builds_its_views_when_read():
+    made = random_mesh(6, 4)
+    mesh_quality(made), reconstruct_geometry(made, 1.0)  # these read the array only
+    fans = [made, transform_mesh(made), mesh_steps(made, 3)[1], iterate_mesh(made, 2)]
+    fans.append(copy.deepcopy(made))
+    for fan in fans:
+        assert vars(fan).keys() == {"angles", "_residuals"} and fan.n_triangles == 6
+    assert fan.alpha is fan.alpha and fan.alpha == tuple(fan.angles[0].tolist())
+    assert vars(fan).keys() == {"angles", "_residuals", "alpha"}
+    assert (fan.beta, fan.gamma) == tuple(map(tuple, fan.angles[1:].tolist()))
+
+
+def test_a_fan_state_with_eager_tuples_restores_the_fan():
+    # before the views were cached properties, a fan's __dict__, and so its
+    # pickled state, held alpha, beta and gamma as tuples beside the arrays
+    fan = random_mesh(7, 3)
+    angles, residuals = fan.angles.copy(), fan.constraint_residuals().copy()
+    state = {"alpha": tuple(angles[0].tolist()), "beta": tuple(angles[1].tolist()),
+             "gamma": tuple(angles[2].tolist()), "angles": angles, "_residuals": residuals}
+    restored = object.__new__(SimpleMeshAngles)
+    restored.__setstate__(state)
+    assert restored == fan and hash(restored) == hash(fan)
+    assert restored.alpha is state["alpha"] and restored.n_triangles == 7
+    assert_arrays_read_only(restored, "parent state")
+    assert restored.constraint_residuals().tobytes() == fan.constraint_residuals().tobytes()
